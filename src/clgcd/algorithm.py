@@ -13,12 +13,14 @@ Two termination conventions are supported:
 
 ``canonical``
     identical except the final shift is forced to 0.  Operationally: when the
-    maximal shift a >= 1 would produce remainder zero, the step is taken with
+    maximal shift a would produce remainder zero, the step is taken with
     shift a-1 instead (its remainder 2^(a-1) p is then equal to the new
     modulus, and one more step with shift 0 finishes).  Equivalently the
-    greedy expansion (..., a) is rewritten (..., a-1, 0).  This is the
-    convention under which every digit string ends in 0, and the default for
-    all cost reporting.
+    greedy expansion (..., a) is rewritten (..., a-1, 0).  The greedy run
+    always ends on a shift a >= 1 (its last step divides a modulus w by a
+    strictly smaller u with w = 2^a u), so the rewrite fires on every
+    canonical run.  This is the convention under which every digit string
+    ends in 0, and the default for all cost reporting.
 
 The expansion digits a_1 .. a_K reconstruct p/q through the inverse branches
 h_a(x) = 2^-a / (1 + x) evaluated innermost-first at 0, or equivalently
@@ -33,8 +35,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 
+from .constants import LN2
 from .dyadic import (
     IntMatrix2,
     dyadic_valuation,
@@ -46,8 +50,6 @@ from .errors import ConsistencyError, DomainError
 
 GREEDY = "greedy"
 CANONICAL = "canonical"
-
-LN2 = math.log(2)
 
 
 def _check_pair(p, q, allow_equal=False):
@@ -91,26 +93,53 @@ class StepRecord:
 
 @dataclass(frozen=True)
 class Trace:
-    """Complete record of one continued-logarithm run."""
+    """Complete record of one continued-logarithm run.
+
+    Only the input, the convention, the digit string and the terminal pair
+    are stored; every other view is derived on read.  ``records`` replays
+    the run from (p, q) and the digits (shifted = u << a, r = w - shifted)
+    the first time it is read and is cached from then on.
+    """
 
     p: int
     q: int
     convention: str
-    records: tuple[StepRecord, ...]
     exponents: tuple[int, ...]
-    steps: int            # number of divisions, K
-    shifts: int           # total shift count, S
     terminal: tuple[int, int]
-    odd_gcd: int
-    rewritten: bool       # True when the canonical final rewrite fired
+
+    @property
+    def steps(self) -> int:
+        """Number of divisions, K."""
+        return len(self.exponents)
+
+    @property
+    def shifts(self) -> int:
+        """Total shift count, S."""
+        return sum(self.exponents)
+
+    @property
+    def odd_gcd(self) -> int:
+        m = self.terminal[1]
+        return m >> dyadic_valuation(m)
+
+    @property
+    def rewritten(self) -> bool:
+        """True when the canonical final rewrite fired: on every canonical run."""
+        return self.convention == CANONICAL
+
+    @cached_property
+    def records(self) -> tuple[StepRecord, ...]:
+        rows = []
+        u, w = self.p, self.q
+        for i, a in enumerate(self.exponents, 1):
+            shifted = u << a
+            r = w - shifted
+            rows.append(_row(i, a, shifted, r))
+            u, w = r, shifted
+        return tuple(rows)
 
     def input_row(self) -> StepRecord:
-        g = gcd(self.q, self.p)
-        return StepRecord(
-            0, None, self.q, self.p,
-            dyadic_valuation(self.q), dyadic_valuation(self.p),
-            dyadic_valuation(g),
-        )
+        return _row(0, None, self.q, self.p)
 
     def table_rows(self) -> list[StepRecord]:
         """All rows of the run table, input row first (matches the JSON form)."""
@@ -142,6 +171,12 @@ class Trace:
         }
 
 
+def _row(i, a, shifted, r) -> StepRecord:
+    # shifted > 0, so min() of the two valuations is v(gcd(shifted, r))
+    vs, vr = dyadic_valuation(shifted), dyadic_valuation(r)
+    return StepRecord(i, a, shifted, r, vs, vr, min(vs, vr))
+
+
 def cl_run(p: int, q: int, convention: str = CANONICAL) -> Trace:
     """Run the algorithm on 0 < p < q and return the full trace.
 
@@ -151,54 +186,16 @@ def cl_run(p: int, q: int, convention: str = CANONICAL) -> Trace:
     _check_pair(p, q)
     if convention not in (GREEDY, CANONICAL):
         raise DomainError(f"unknown convention {convention!r}")
-    canonical = convention == CANONICAL
-    records = []
-    exponents = []
-    rewritten = False
-    u, w = p, q
-    i = 1
-    while True:
-        a = (w // u).bit_length() - 1
-        r = w - (u << a)
-        if canonical and r == 0 and a >= 1:
-            # forced final rewrite (..., a) -> (..., a-1, 0)
-            a -= 1
-            r = u << a
-            rewritten = True
-        shifted = u << a
-        gh = gcd(shifted, r)
-        records.append(
-            StepRecord(
-                i, a, shifted, r,
-                dyadic_valuation(shifted), dyadic_valuation(r),
-                dyadic_valuation(gh),
-            )
-        )
-        exponents.append(a)
-        if r == 0:
-            break
-        u, w = r, shifted
-        i += 1
-    terminal_m = records[-1].shifted
-    return Trace(
-        p=p,
-        q=q,
-        convention=convention,
-        records=tuple(records),
-        exponents=tuple(exponents),
-        steps=len(records),
-        shifts=sum(exponents),
-        terminal=(0, terminal_m),
-        odd_gcd=terminal_m >> dyadic_valuation(terminal_m),
-        rewritten=rewritten,
-    )
+    exps, terminal_m = _exponent_run(p, q, convention == CANONICAL)
+    return Trace(p, q, convention, tuple(exps), (0, terminal_m))
 
 
 def _exponent_run(p: int, q: int, canonical: bool = True):
-    """Lean variant of cl_run for bulk experiments.
+    """The step kernel: (exponent list, terminal modulus) of one run.
 
-    Returns (exponent list, terminal modulus) without building step records;
-    must stay step-for-step identical to cl_run (there is a test pinning it).
+    ``cl_run`` wraps it; the bulk experiments call it directly.  When the
+    canonical flag is set, the zero-remainder step with maximal shift a is
+    taken with shift a-1 instead, which forces one more step with shift 0.
     """
     exps = []
     append = exps.append

@@ -26,13 +26,13 @@ import numpy as np
 from scipy.special import roots_legendre
 
 from .algorithm import _exponent_run
+from .constants import LN2
 from .dyadic import dyadic_valuation
 from .errors import ConsistencyError, DomainError
 from .parallel import derive_seed, map_chunks
 from .spectral import CollocationGrid
 
 LOG43 = math.log(4.0 / 3.0)
-LN2 = math.log(2.0)
 
 _BIRKHOFF_CHUNK = 128
 

@@ -28,8 +28,8 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .algorithm import LN2, _exponent_run, cost_vector
-from .constants import ConstantsTable, m_table
+from .algorithm import _exponent_run, cost_vector
+from .constants import LN2, ConstantsTable, m_table
 from .dynamics import BirkhoffReport, birkhoff_estimates
 from .errors import ConsistencyError, DomainError
 from .parallel import derive_seed, map_chunks

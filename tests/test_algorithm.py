@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -7,11 +8,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from clgcd import algorithm
 from clgcd.dyadic import dyadic_valuation
 from clgcd.algorithm import (
     CANONICAL,
     GREEDY,
     ContinuantPair,
+    StepRecord,
     Trace,
     _exponent_run,
     cf_eval,
@@ -138,14 +141,14 @@ def test_conventions_differ_by_final_rewrite(pq):
     greedy = cl_run(p, q, GREEDY)
     canon = cl_run(p, q, CANONICAL)
     assert canon.exponents[-1] == 0
-    if greedy.exponents[-1] == 0:
-        assert canon.exponents == greedy.exponents
-        assert not canon.rewritten
-    else:
-        a = greedy.exponents[-1]
-        assert canon.exponents == greedy.exponents[:-1] + (a - 1, 0)
-        assert canon.rewritten
-        assert (canon.steps, canon.shifts) == (greedy.steps + 1, greedy.shifts - 1)
+    # the greedy run ends on w = 2^a u with w > u, so a >= 1 and the
+    # canonical rewrite fires on every run
+    a = greedy.exponents[-1]
+    assert a >= 1
+    assert canon.exponents == greedy.exponents[:-1] + (a - 1, 0)
+    assert canon.rewritten
+    assert not greedy.rewritten
+    assert (canon.steps, canon.shifts) == (greedy.steps + 1, greedy.shifts - 1)
     # the rewrite leaves the continuant column untouched (the full matrix
     # differs: M_a and M_{a-1} M_0 only agree on (0, 1)^T)
     cg, cc = continuants(greedy.exponents), continuants(canon.exponents)
@@ -160,6 +163,74 @@ def test_lean_runner_matches_trace(pq):
         exps, terminal = _exponent_run(p, q, canonical=canonical)
         assert tuple(exps) == tr.exponents
         assert terminal == tr.terminal[1]
+
+
+def _eager_rows(p, q, convention):
+    """The run table replayed one cl_step at a time, valuations from gcd."""
+    v = dyadic_valuation
+    rows = [StepRecord(0, None, q, p, v(q), v(p), v(gcd(q, p)))]
+    u, w = p, q
+    while True:
+        a, r, (_, shifted) = cl_step(u, w)
+        if convention == CANONICAL and r == 0 and a >= 1:
+            a -= 1
+            shifted = r = u << a
+        rows.append(StepRecord(len(rows), a, shifted, r,
+                               v(shifted), v(r), v(gcd(shifted, r))))
+        if r == 0:
+            return rows
+        u, w = r, shifted
+
+
+@given(pairs(), st.sampled_from((GREEDY, CANONICAL)))
+def test_lazy_records_match_eager_replay(pq, convention):
+    p, q = pq
+    rows = _eager_rows(p, q, convention)
+    tr = cl_run(p, q, convention)
+    assert tr.records == tuple(rows[1:])
+    assert tr.table_rows() == rows
+    g = gcd(p, q)
+    assert tr.to_json_dict() == {
+        "input": [p, q],
+        "convention": convention,
+        "K": len(rows) - 1,
+        "S": sum(r.exponent for r in rows[1:]),
+        "terminal": [0, rows[-1].shifted],
+        "odd_gcd": g >> dyadic_valuation(g),
+        "rows": [
+            {"i": r.index, "a_i": r.exponent, "shifted": r.shifted,
+             "remainder": r.remainder, "val_shifted": r.val_shifted,
+             "val_remainder": None if r.remainder == 0 else r.val_remainder,
+             "val_gcd": r.val_gcd}
+            for r in rows
+        ],
+    }
+
+
+def test_scalar_views_build_no_records(monkeypatch):
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return StepRecord(*args)
+
+    monkeypatch.setattr(algorithm, "StepRecord", counting)
+    for convention in (GREEDY, CANONICAL):
+        tr = cl_run(31, 75, convention)
+        _ = (tr.exponents, tr.steps, tr.shifts, tr.odd_gcd, tr.terminal)
+    assert built == []
+    tr.records
+    assert len(built) == tr.steps
+
+
+def test_records_cached_and_trace_frozen():
+    tr = cl_run(31, 75)
+    first = tr.records
+    assert tr.records is first
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        tr.p = 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        tr.exponents = ()
 
 
 def test_trace_json_shape():
