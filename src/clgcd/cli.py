@@ -28,7 +28,6 @@ from .experiments import (
     slope_estimate,
     worstcase_scan,
 )
-from .parallel import default_threads
 from .spectral import solve_operator, taylor_estimates
 
 
@@ -386,7 +385,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--all-pairs", action="store_true",
                     help="drop the coprimality filter (exploration only)")
     sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    sp.add_argument("--threads", type=int, default=default_threads())
+    sp.add_argument("--threads", type=int, default=1)
     sp.add_argument("--out", metavar="FILE.CSV")
 
     sp = add("dirichlet", _cmd_dirichlet, "pair series against the zeta ratio")
@@ -404,7 +403,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--nmax", type=int, default=1_000_000)
     sp.add_argument("--pair-samples", type=int, default=1_000_000)
     sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    sp.add_argument("--threads", type=int, default=default_threads())
+    sp.add_argument("--threads", type=int, default=1)
 
     return parser
 

@@ -13,8 +13,6 @@ from fractions import Fraction
 
 from .errors import DomainError, PoleError
 
-Rational = Fraction
-
 #: Valuation assigned to 0; compares greater than every finite valuation.
 INF_VALUATION = math.inf
 

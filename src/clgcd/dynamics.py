@@ -9,7 +9,8 @@ integer algorithm; that conjugacy is pinned by tests.
 
 The invariant density of T is psi(x) = 1 / (log(4/3) (x+1)(x+2)).  The
 weighted transfer operator acting on sampled functions is provided here as
-``transfer_apply`` (the spectral module owns the grid and interpolation).
+``transfer_apply``; the grid, the branch sum and its truncation rule live in
+the spectral module.
 
 ``birkhoff_estimates`` measures the per-step growth rates along orbits of
 high random rationals: shift rate, entropy, dyadic growth of the continuant
@@ -26,13 +27,11 @@ import numpy as np
 from scipy.special import roots_legendre
 
 from .algorithm import _exponent_run
-from .constants import LN2
+from .constants import LN2, LOG43
 from .dyadic import dyadic_valuation
 from .errors import ConsistencyError, DomainError
-from .parallel import derive_seed, map_chunks
-from .spectral import CollocationGrid
-
-LOG43 = math.log(4.0 / 3.0)
+from .parallel import chunk_counts, derive_seed, map_chunks, moments
+from .spectral import CollocationGrid, _branch_matrix, truncation_depth
 
 _BIRKHOFF_CHUNK = 128
 
@@ -86,13 +85,11 @@ def orbit(x0, max_steps: int = 10_000) -> OrbitSample:
         raise DomainError(f"orbit needs 0 < x0 <= 1, got {x}")
     steps = []
     for _ in range(max_steps):
-        a = branch_of(x)
+        a, x_next = t_apply(x)
         dlog = 2.0 * (dyadic_valuation(x.denominator)
                       - dyadic_valuation(x.numerator)) * LN2
         steps.append(OrbitStep(x, a, dlog))
-        num, den = x.numerator, x.denominator
-        shifted = num << a
-        x = Fraction(den - shifted, shifted)
+        x = x_next
         if x == 0:
             return OrbitSample(tuple(steps), True)
     return OrbitSample(tuple(steps), False)
@@ -104,32 +101,17 @@ def transfer_apply(f, t: float, v: float, tail_tol: float = 1e-10,
 
     ``f`` is either a callable on [0, 1] or an array of samples at the grid
     nodes.  Values between nodes are obtained by the grid's barycentric
-    interpolant.  The branch sum over a is truncated when the geometric tail
-    bound sup|f| 2^((a+1)(v-t)) / (1 - 2^(v-t)) drops below ``tail_tol``.
+    interpolant.  The branch sum is ``spectral``'s collocation matrix,
+    truncated by ``spectral.truncation_depth`` at ``tail_tol`` and sup|f|;
+    unlike ``build_matrix`` it does not restrict (t, v) to the admissible box.
     """
-    if t - v <= 0:
-        raise DomainError(f"branch sum diverges for t - v <= 0 (t={t}, v={v})")
-    if tail_tol <= 0:
-        raise DomainError("tail_tol must be positive")
     if grid is None:
         grid = CollocationGrid(64)
     samples = np.asarray(f(grid.nodes) if callable(f) else f, dtype=float)
     if samples.shape != (grid.n,):
         raise DomainError(f"expected {grid.n} samples, got {samples.shape}")
-    sup_f = float(np.max(np.abs(samples)))
-    if sup_f == 0.0:
-        return np.zeros(grid.n)
-    ratio = 2.0 ** (v - t)
-    a_max = max(0, math.ceil(
-        math.log2(sup_f / (tail_tol * (1.0 - ratio))) / (t - v)
-    ))
-    x = grid.nodes
-    out = np.zeros(grid.n)
-    for a in range(a_max + 1):
-        pts = (0.5 ** a) / (1.0 + x)
-        out += (2.0 ** (a * (v - t))) * grid.interpolate(samples, pts)
-    out *= (1.0 + x) ** (-2.0 * t)
-    return out
+    a_max = truncation_depth(t, v, tail_tol, float(np.max(np.abs(samples))))
+    return _branch_matrix(t, v, grid, a_max) @ samples
 
 
 def quad_gl(f, a: float, b: float, panels: int = 64, order: int = 8) -> float:
@@ -189,8 +171,8 @@ def _birkhoff_chunk(args):
     bits, seed, label, chunk_index, count = args
     rng = random.Random(derive_seed(seed, label, chunk_index))
     lo, hi = 1 << (bits - 1), 1 << bits
-    sums = np.zeros(4)
-    sumsq = np.zeros(4)
+    sums = [0.0] * 4
+    sumsq = [0.0] * 4
     for _ in range(count):
         q = rng.randrange(lo, hi)
         p = rng.randrange(1, q)
@@ -226,29 +208,23 @@ def birkhoff_estimates(bits: int, samples: int, seed: int,
         raise DomainError(f"need bits >= 16 for asymptotic rates, got {bits}")
     if samples < 2:
         raise DomainError("need at least 2 samples")
-    chunks = []
-    done = 0
-    idx = 0
-    while done < samples:
-        count = min(_BIRKHOFF_CHUNK, samples - done)
-        chunks.append((bits, seed, "birkhoff", idx, count))
-        done += count
-        idx += 1
+    chunks = [(bits, seed, "birkhoff", index, count)
+              for index, count in chunk_counts(samples, _BIRKHOFF_CHUNK)]
     parts = map_chunks(_birkhoff_chunk, chunks, threads)
     n = sum(p[0] for p in parts)
-    sums = np.sum([p[1] for p in parts], axis=0)
-    sumsq = np.sum([p[2] for p in parts], axis=0)
-    means = sums / n
-    var = np.maximum(sumsq / n - means ** 2, 0.0) * (n / (n - 1))
-    ses = np.sqrt(var / n)
+    means, ses = zip(*(
+        moments(n, math.fsum(p[1][j] for p in parts),
+                math.fsum(p[2][j] for p in parts), 1.0)
+        for j in range(4)
+    ))
     keys = ("shift_rate", "entropy", "e2", "valuation_rate")
     return BirkhoffReport(
         samples=n,
         bits=bits,
         seed=seed,
-        mean_shift_per_step=float(means[0]),
-        entropy_estimate=float(means[1]),
-        e2_estimate=float(means[2]),
-        valuation_rate=float(means[3]),
-        std_errors={k: float(se) for k, se in zip(keys, ses)},
+        mean_shift_per_step=means[0],
+        entropy_estimate=means[1],
+        e2_estimate=means[2],
+        valuation_rate=means[3],
+        std_errors=dict(zip(keys, ses)),
     )

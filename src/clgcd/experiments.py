@@ -32,7 +32,7 @@ from .algorithm import _exponent_run, cost_vector
 from .constants import LN2, ConstantsTable, m_table
 from .dynamics import BirkhoffReport, birkhoff_estimates
 from .errors import ConsistencyError, DomainError
-from .parallel import derive_seed, map_chunks
+from .parallel import chunk_counts, derive_seed, map_chunks, moments
 
 COST_KEYS = ("K", "S", "sigma", "q", "rho", "r", "q2")
 
@@ -93,13 +93,8 @@ def _chunk_tasks(spec: OmegaSpec) -> Iterator[tuple]:
     state and ``omega_iter`` equals the concatenation of all chunks.
     """
     if spec.mode == "sampled":
-        done = 0
-        index = 0
-        while done < spec.sample_count:
-            count = min(_CHUNK, spec.sample_count - done)
+        for index, count in chunk_counts(spec.sample_count, _CHUNK):
             yield ("sampled", spec.N, spec.seed, index, count, spec.coprime_only)
-            done += count
-            index += 1
         return
     q = 2
     while q <= spec.N:
@@ -182,13 +177,6 @@ def _stats_chunk(task: tuple):
     return n, si, sf
 
 
-def _moments(n: int, total, total_sq, scale: float) -> tuple[float, float]:
-    mean = total / n
-    var = (total_sq - total * mean) / (n - 1)
-    se = math.sqrt(max(var, 0.0) / n)
-    return scale * mean, scale * se
-
-
 def theory_means(n: int, table: Optional[ConstantsTable] = None) -> dict:
     """Leading-order predictions M(c) * (2/H) * log N for every cost."""
     table = table or m_table()
@@ -268,7 +256,7 @@ def mean_costs(spec: OmegaSpec, threads: int = 1) -> ExperimentReport:
         ("q2", si[6], si[7], 2.0 * LN2),
     ]
     for key, total, total_sq, scale in pairs:
-        means[key], stderrs[key] = _moments(n, total, total_sq, scale)
+        means[key], stderrs[key] = moments(n, total, total_sq, scale)
     ratios = {key: means[key] / means["K"] for key in COST_KEYS}
     return ExperimentReport(
         spec=spec,

@@ -4,12 +4,14 @@ Work is split into fixed-size chunks whose random substreams are derived from
 (seed, label, chunk index) via SHA-256, and partial results are merged in
 chunk order.  The outcome is therefore a function of the seed alone: bitwise
 identical for any worker count, including the sequential path.
+``chunk_counts`` cuts a sample count into such chunks, and ``moments`` turns
+the merged sums into a mean and its standard error.
 """
 from __future__ import annotations
 
 import hashlib
+import math
 import multiprocessing
-import os
 
 
 def derive_seed(seed: int, label: str, index: int) -> int:
@@ -17,14 +19,18 @@ def derive_seed(seed: int, label: str, index: int) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def default_threads() -> int:
-    env = os.environ.get("CLGCD_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
+def chunk_counts(total: int, size: int):
+    """Yield (index, count) for ``total`` items cut into chunks of ``size``."""
+    for index, start in enumerate(range(0, total, size)):
+        yield index, min(size, total - start)
+
+
+def moments(n: int, total, total_sq, scale: float) -> tuple[float, float]:
+    """Scaled mean and standard error from the merged sum and sum of squares."""
+    mean = total / n
+    var = (total_sq - total * mean) / (n - 1)
+    se = math.sqrt(max(var, 0.0) / n)
+    return scale * mean, scale * se
 
 
 def map_chunks(worker, chunks, threads: int = 1) -> list:

@@ -122,11 +122,9 @@ def truncation_depth(t: float, v: float, tail_tol: float, sup_f: float = 1.0) ->
     return max(0, math.ceil(need)) + 8
 
 
-def build_matrix(t: float, v: float, grid: CollocationGrid,
-                 tail_tol: float = 1e-14) -> np.ndarray:
-    """Dense collocation matrix of the operator at (t, v) on ``grid``."""
-    _check_params(t, v)
-    a_max = truncation_depth(t, v, tail_tol)
+def _branch_matrix(t: float, v: float, grid: CollocationGrid,
+                   a_max: int) -> np.ndarray:
+    """The branch sum over a = 0 .. a_max as a matrix on ``grid``."""
     x = grid.nodes
     m = np.zeros((grid.n, grid.n))
     for a in range(a_max + 1):
@@ -134,6 +132,13 @@ def build_matrix(t: float, v: float, grid: CollocationGrid,
         m += (2.0 ** (a * (v - t))) * grid.lagrange_matrix(pts)
     m *= ((1.0 + x) ** (-2.0 * t))[:, None]
     return m
+
+
+def build_matrix(t: float, v: float, grid: CollocationGrid,
+                 tail_tol: float = 1e-14) -> np.ndarray:
+    """Dense collocation matrix of the operator at (t, v) on ``grid``."""
+    _check_params(t, v)
+    return _branch_matrix(t, v, grid, truncation_depth(t, v, tail_tol))
 
 
 @dataclass

@@ -20,7 +20,7 @@ from clgcd.dynamics import (
     transfer_apply,
 )
 from clgcd.errors import DomainError
-from clgcd.spectral import CollocationGrid
+from clgcd.spectral import CollocationGrid, build_matrix
 
 LN2 = math.log(2)
 LOG43 = math.log(4 / 3)
@@ -125,6 +125,14 @@ def test_transfer_constant_function_oracle():
     out = transfer_apply(np.ones(48), 1.0, v, tail_tol=1e-13, grid=grid)
     oracle = (1.0 + grid.nodes) ** -2.0 / (1.0 - 2.0 ** (v - 1.0))
     assert np.max(np.abs(out - oracle)) < 1e-10
+
+
+@pytest.mark.parametrize("t, v", [(1.0, 0.0), (0.7, -0.3), (1.3, 0.35)])
+def test_transfer_is_the_collocation_matrix(t, v):
+    # one branch sum: on the unit function (sup 1) the truncation matches too
+    grid = CollocationGrid(40)
+    out = transfer_apply(np.ones(40), t, v, tail_tol=1e-14, grid=grid)
+    assert np.array_equal(out, build_matrix(t, v, grid) @ np.ones(40))
 
 
 def test_transfer_callable_and_samples_agree():

@@ -1,0 +1,24 @@
+import math
+import statistics
+
+import pytest
+
+from clgcd.parallel import chunk_counts, moments
+
+
+@pytest.mark.parametrize("total, size, expect", [
+    (12, 4, [(0, 4), (1, 4), (2, 4)]),
+    (10, 4, [(0, 4), (1, 4), (2, 2)]),
+    (3, 4, [(0, 3)]),
+])
+def test_chunk_counts(total, size, expect):
+    assert list(chunk_counts(total, size)) == expect
+
+
+def test_moments_match_statistics():
+    xs = [0.25, 1.5, -0.75, 2.125, 3.0, 0.5, 1.0]
+    mean, se = moments(len(xs), math.fsum(xs), math.fsum(x * x for x in xs),
+                       1.0)
+    assert mean == pytest.approx(statistics.fmean(xs), rel=1e-15)
+    assert se * math.sqrt(len(xs)) == pytest.approx(statistics.stdev(xs),
+                                                    rel=1e-14)
