@@ -2,12 +2,12 @@
 
 Omega_N is the set of coprime pairs (p, q) with 0 < p < q <= N under the
 uniform measure.  Exhaustive mode enumerates it outright (capped at
-N = 10^5; the ensemble grows like 0.3 N^2).  Sampled mode draws q uniform
-on [2, N], p uniform on [1, q-1], and rejects until the pair is coprime.
-That keeps q roughly uniform instead of phi-weighted, which shifts every
-mean cost by an N-independent amount and so cancels from slope estimates;
-comparisons against exhaustive runs should therefore be made on slopes or
-on cost ratios, not on raw means.
+N = 10^4, about 3 x 10^7 pairs; the ensemble grows like 0.3 N^2).
+Sampled mode draws q uniform on [2, N], p uniform on [1, q-1], and
+rejects until the pair is coprime.  That keeps q roughly uniform instead
+of phi-weighted, which shifts every mean cost by an N-independent amount
+and so cancels from slope estimates; comparisons against exhaustive runs
+should therefore be made on slopes or on cost ratios, not on raw means.
 
 Sampling is chunked, with each chunk's generator seeded by
 (seed, "omega", chunk index).  Results are bitwise reproducible for a
@@ -15,9 +15,11 @@ given seed no matter how many worker processes are used.
 
 The ``theory`` column attached to reports is the leading-order prediction
 M(c) * (2/H) * log N.  Its error term is O(1) in N, so ``deviation`` does
-not shrink; it is a sanity column, not an assertion.  Hard assertions are
-the worst-case bounds K <= 2 lg q + 2 and S <= (2 lg q + 2) lg q, checked
-for every pair of every run.
+not shrink; it is a sanity column, not an assertion.  Hard assertions run
+on every pair of every run: the worst-case bounds K <= 2 lg q + 2 and
+S <= (2 lg q + 2) lg q, and the costs read off the run (shift count,
+terminal modulus, gcd) checked bit for bit against the continuant pair
+of the digits.
 """
 from __future__ import annotations
 
@@ -28,15 +30,19 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .algorithm import _exponent_run, cost_vector
+from .algorithm import _exponent_run, continuants
 from .constants import LN2, ConstantsTable, m_table
+from .dyadic import dyadic_valuation
 from .dynamics import BirkhoffReport, birkhoff_estimates
 from .errors import ConsistencyError, DomainError
 from .parallel import chunk_counts, derive_seed, map_chunks, moments
 
 COST_KEYS = ("K", "S", "sigma", "q", "rho", "r", "q2")
 
-EXHAUSTIVE_LIMIT = 100_000
+EXHAUSTIVE_LIMIT = 10_000
+
+# the totient sieve of dirichlet_check is cheap well past EXHAUSTIVE_LIMIT
+DIRICHLET_LIMIT = 100_000
 
 # every entry point that takes a seed defaults to this one
 DEFAULT_SEED = 0x5EED
@@ -149,27 +155,47 @@ def check_worstcase_bounds(p: int, q: int, k: int, s: int) -> None:
 
 
 def _stats_chunk(task: tuple):
+    # Every cost is an integer the run already holds.  With d = gcd(p, q)
+    # the terminal modulus carries the odd part of d, the continuant pair
+    # has power-of-two content g = 2^(v(d) + S - v(terminal)), R = q / d
+    # and Q = R * g.  The continuant pair of the digits recomputes all of
+    # it on every pair; any difference raises ConsistencyError.
     # int accumulators stay exact; only log Q / log R need floats
     n = 0
     si = [0] * 8                    # K, K^2, S, S^2, vg, vg^2, vq, vq^2
     sf = [0.0] * 4                  # lnQ, lnQ^2, lnR, lnR^2
     for p, q in _chunk_pairs(task):
-        exps, _terminal = _exponent_run(p, q, canonical=True)
+        exps, terminal = _exponent_run(p, q, canonical=True)
         k = len(exps)
         s = sum(exps)
         check_worstcase_bounds(p, q, k, s)
-        cost = cost_vector(exps)
-        ln_q = math.log(cost.Q)
-        ln_r = math.log(cost.R)
+        d = math.gcd(p, q)
+        vd = dyadic_valuation(d)
+        vt = dyadic_valuation(terminal)
+        if terminal >> vt != d >> vd:
+            raise ConsistencyError(
+                f"terminal {terminal} lacks the odd gcd of ({p},{q})")
+        g_exp = vd + s - vt
+        r = q // d
+        big_q = r << g_exp
+        q_exp = g_exp + dyadic_valuation(r)
+        cp = continuants(exps)
+        if (cp.Q != big_q or cp.R != r or cp.g != 1 << g_exp
+                or cp.P != (p // d) << g_exp
+                or abs(cp.matrix.det()) != 1 << s):
+            raise ConsistencyError(
+                f"run and continuant pair disagree on ({p},{q}): {exps}")
+        ln_q = math.log(big_q)
+        ln_r = math.log(r)
         n += 1
         si[0] += k
         si[1] += k * k
         si[2] += s
         si[3] += s * s
-        si[4] += cost.g_exp
-        si[5] += cost.g_exp * cost.g_exp
-        si[6] += cost.q_exp
-        si[7] += cost.q_exp * cost.q_exp
+        si[4] += g_exp
+        si[5] += g_exp * g_exp
+        si[6] += q_exp
+        si[7] += q_exp * q_exp
         sf[0] += ln_q
         sf[1] += ln_q * ln_q
         sf[2] += ln_r
@@ -233,8 +259,9 @@ class ExperimentReport:
 def mean_costs(spec: OmegaSpec, threads: int = 1) -> ExperimentReport:
     """Mean cost vector over ``spec``, canonical convention.
 
-    Every pair goes through the full dual-route cost computation, so one
-    experiment is also a few hundred thousand exact identity checks.
+    Every pair is checked against the worst-case bounds, and its costs,
+    read off the run, are compared bit for bit with its continuant pair,
+    so one experiment is also as many exact identity checks as pairs.
     Deterministic in ``spec.seed`` for any thread count.
     """
     parts = map_chunks(_stats_chunk, _chunk_tasks(spec), threads)
@@ -410,8 +437,8 @@ def dirichlet_check(s: float = 2.0, N: int = 10_000) -> DirichletReport:
     """
     if s < 1.5:
         raise DomainError(f"need s >= 1.5 for a convergent check, got {s}")
-    if not 2 <= N <= EXHAUSTIVE_LIMIT:
-        raise DomainError(f"need 2 <= N <= {EXHAUSTIVE_LIMIT}, got {N}")
+    if not 2 <= N <= DIRICHLET_LIMIT:
+        raise DomainError(f"need 2 <= N <= {DIRICHLET_LIMIT}, got {N}")
     phi = _totients(N)
     z = 2.0 * s
     partial = math.fsum(phi[q] * q ** -z for q in range(N, 0, -1))

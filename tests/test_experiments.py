@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -6,7 +7,8 @@ from math import gcd
 import numpy as np
 import pytest
 
-from clgcd.algorithm import _exponent_run, cost_vector
+from clgcd import experiments
+from clgcd.algorithm import _exponent_run, continuants, cost_vector
 from clgcd.constants import m_table
 from clgcd.dynamics import birkhoff_estimates
 from clgcd.errors import DomainError, ConsistencyError
@@ -14,6 +16,7 @@ from clgcd.experiments import (
     COST_KEYS,
     DEFAULT_SEED,
     EDGE_COEFF,
+    EXHAUSTIVE_LIMIT,
     OmegaSpec,
     _totients,
     _zeta,
@@ -53,6 +56,9 @@ def test_omega_spec_validation():
     with pytest.raises(DomainError):
         OmegaSpec(N=200_000, mode="exhaustive")
     with pytest.raises(DomainError):
+        OmegaSpec(N=10_001, mode="exhaustive")
+    assert OmegaSpec(N=10_000, mode="exhaustive").N == EXHAUSTIVE_LIMIT
+    with pytest.raises(DomainError):
         OmegaSpec(N=10, mode="sampled", sample_count=1)
 
 
@@ -67,15 +73,21 @@ def test_omega_sampled_reproducible():
 
 
 def test_mean_costs_against_straight_loop():
-    spec = OmegaSpec(N=100, mode="exhaustive")
+    # the second spec keeps the non-coprime pairs, where d = gcd(p, q) > 1
+    for spec in (OmegaSpec(N=100, mode="exhaustive"),
+                 OmegaSpec(N=60, mode="exhaustive", coprime_only=False)):
+        _check_against_straight_loop(spec)
+
+
+def _check_against_straight_loop(spec):
     rep = mean_costs(spec)
 
     n = 0
     sk = ss = svg = svq = 0
     ks, lnqs, lnrs = [], [], []
-    for q in range(2, 101):
+    for q in range(2, spec.N + 1):
         for p in range(1, q):
-            if gcd(p, q) != 1:
+            if spec.coprime_only and gcd(p, q) != 1:
                 continue
             exps, _ = _exponent_run(p, q, canonical=True)
             cost = cost_vector(exps)
@@ -105,6 +117,29 @@ def test_mean_costs_against_straight_loop():
         2 * np.std(lnqs, ddof=1) / math.sqrt(n), rel=1e-10)
     for key in COST_KEYS:
         assert rep.ratios_to_k[key] == rep.means[key] / rep.means["K"]
+
+
+def test_mean_costs_rejects_a_wrong_continuant_pair(monkeypatch):
+    # route two runs on every pair: a continuant pair that disagrees with
+    # the run is caught, not averaged
+    def doubled(exps):
+        cp = continuants(exps)
+        return dataclasses.replace(cp, Q=2 * cp.Q)
+
+    monkeypatch.setattr(experiments, "continuants", doubled)
+    with pytest.raises(ConsistencyError):
+        mean_costs(OmegaSpec(N=20, mode="exhaustive"))
+
+
+def test_mean_costs_rejects_a_wrong_terminal(monkeypatch):
+    # route one requires the terminal's odd part to be the odd gcd
+    def tripled(p, q, canonical=True):
+        exps, terminal = _exponent_run(p, q, canonical)
+        return exps, 3 * terminal
+
+    monkeypatch.setattr(experiments, "_exponent_run", tripled)
+    with pytest.raises(ConsistencyError):
+        mean_costs(OmegaSpec(N=20, mode="exhaustive"))
 
 
 def test_mean_costs_deterministic_across_threads():
