@@ -26,9 +26,16 @@ def chunk_counts(total: int, size: int):
 
 
 def moments(n: int, total, total_sq, scale: float) -> tuple[float, float]:
-    """Scaled mean and standard error from the merged sum and sum of squares."""
+    """Scaled mean and standard error from the merged sum and sum of squares.
+
+    Integer sums give the variance from an exact numerator rounded once,
+    so it does not cancel; float sums use the textbook formula.
+    """
     mean = total / n
-    var = (total_sq - total * mean) / (n - 1)
+    if isinstance(total, int) and isinstance(total_sq, int):
+        var = (n * total_sq - total * total) / (n * (n - 1))
+    else:
+        var = (total_sq - total * mean) / (n - 1)
     se = math.sqrt(max(var, 0.0) / n)
     return scale * mean, scale * se
 

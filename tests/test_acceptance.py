@@ -5,8 +5,9 @@ Statistical gates were calibrated once at the recorded seeds and sample
 counts (the measured values sit in comments next to each gate, all of them
 3x-50x inside the stated ceilings).  Every random quantity is seeded and
 thread-count independent, so a rerun reproduces the quoted numbers bit for
-bit.  The slope fixture is the long pole: two sampled ensembles of 10^6
-pairs, about 50 s single-threaded on a 2-core box.
+bit.  The slope fixture draws two sampled ensembles of 10^6 pairs, about
+10 s single-threaded on a 2-core box; the c01 oracle (about 18 s) is the
+long pole.
 """
 import math
 import random
@@ -207,7 +208,7 @@ def test_c07_average_case_laws(slope_run):
     assert abs(dev_sigma) < 0.05      # sigma ratio, 0.97693 within 5%
     dev_q = report.ratios["q"] / targets["q"] - 1.0
     assert abs(dev_q) < 0.05          # q ratio, 2.60045 within 5%
-    assert elapsed < 600.0            # measured ~50 s, 2 cores
+    assert elapsed < 600.0            # measured ~10 s, 2 cores
 
     _lo, hi = report.rungs
     raw = hi.means["S"] / hi.means["K"]

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -12,6 +13,7 @@ from clgcd.algorithm import _exponent_run, continuants, cost_vector
 from clgcd.constants import m_table
 from clgcd.dynamics import birkhoff_estimates
 from clgcd.errors import DomainError, ConsistencyError
+from clgcd.parallel import derive_seed
 from clgcd.experiments import (
     COST_KEYS,
     DEFAULT_SEED,
@@ -72,33 +74,41 @@ def test_omega_sampled_reproducible():
     assert pairs != list(omega_iter(other))
 
 
+# every q of this spec is far above 2^62, so mean_costs takes the scalar path
+_SCALAR_SPEC = OmegaSpec(N=1 << 70, mode="sampled", sample_count=300, seed=5)
+
+
 def test_mean_costs_against_straight_loop():
-    # the second spec keeps the non-coprime pairs, where d = gcd(p, q) > 1
+    # the second spec keeps the non-coprime pairs, where d = gcd(p, q) > 1;
+    # the third has q >= 2^62, which the scalar path serves
     for spec in (OmegaSpec(N=100, mode="exhaustive"),
-                 OmegaSpec(N=60, mode="exhaustive", coprime_only=False)):
+                 OmegaSpec(N=60, mode="exhaustive", coprime_only=False),
+                 _SCALAR_SPEC):
         _check_against_straight_loop(spec)
 
 
 def _check_against_straight_loop(spec):
     rep = mean_costs(spec)
 
+    if spec.mode == "sampled":
+        pairs = omega_iter(spec)
+    else:
+        pairs = ((p, q) for q in range(2, spec.N + 1) for p in range(1, q)
+                 if not spec.coprime_only or gcd(p, q) == 1)
     n = 0
     sk = ss = svg = svq = 0
     ks, lnqs, lnrs = [], [], []
-    for q in range(2, spec.N + 1):
-        for p in range(1, q):
-            if spec.coprime_only and gcd(p, q) != 1:
-                continue
-            exps, _ = _exponent_run(p, q, canonical=True)
-            cost = cost_vector(exps)
-            n += 1
-            sk += cost.steps
-            ss += cost.shifts
-            svg += cost.g_exp
-            svq += cost.q_exp
-            ks.append(cost.steps)
-            lnqs.append(math.log(cost.Q))
-            lnrs.append(math.log(cost.R))
+    for p, q in pairs:
+        exps, _ = _exponent_run(p, q, canonical=True)
+        cost = cost_vector(exps)
+        n += 1
+        sk += cost.steps
+        ss += cost.shifts
+        svg += cost.g_exp
+        svq += cost.q_exp
+        ks.append(cost.steps)
+        lnqs.append(math.log(cost.Q))
+        lnrs.append(math.log(cost.R))
 
     assert rep.samples == n
     # integer-accumulated means are reproduced exactly
@@ -119,26 +129,141 @@ def _check_against_straight_loop(spec):
         assert rep.ratios_to_k[key] == rep.means[key] / rep.means["K"]
 
 
+def _assert_batch_matches_scalar(pairs):
+    batch = experiments._stats_batch(pairs)
+    assert batch == experiments._stats_scalar(pairs)
+    assert all(type(v) is int for v in batch[1])
+
+
+def test_batch_path_matches_scalar_path():
+    # (n, integer sums, float sums) bit for bit on every chunk
+    specs = [OmegaSpec(N=10 ** 6, sample_count=3 * 4096, seed=seed)
+             for seed in (1, 2, 3)]
+    specs += [
+        OmegaSpec(N=300, mode="exhaustive"),
+        OmegaSpec(N=120, mode="exhaustive", coprime_only=False),
+        OmegaSpec(N=10 ** 4, sample_count=3 * 4096, coprime_only=False),
+        OmegaSpec(N=(1 << 62) - 1, sample_count=2000),
+        OmegaSpec(N=(1 << 62) - 1, sample_count=2000, coprime_only=False),
+    ]
+    for spec in specs:
+        for task in experiments._chunk_tasks(spec):
+            _assert_batch_matches_scalar(experiments._chunk_pairs(task))
+
+
+def test_batch_path_edge_inputs():
+    # quotients above 2^53, where a float bit length can round up, the
+    # longest runs below 2^62, and the shortest runs
+    top = (1 << 62) - 1
+    edges = [(1, top), (3, (1 << 61) + 5), (5, (1 << 61) - 1), (1, 2),
+             (2, 3), (10 ** 6 - 1, 10 ** 6), (top - 1, top),
+             (6, (1 << 61) + 2), (1 << 40, (1 << 61) + (1 << 41))]
+    edges += [(1, (1 << n) - 1) for n in range(2, 62)]
+    for pair in edges:
+        _assert_batch_matches_scalar([pair])
+    _assert_batch_matches_scalar(edges)
+    assert experiments._stats_batch([]) == experiments._stats_scalar([])
+
+
+def _randint_chunk(n, seed, index, count, coprime_only):
+    rng = random.Random(derive_seed(seed, "omega", index))
+    pairs = []
+    for _ in range(count):
+        while True:
+            q = rng.randint(2, n)
+            p = rng.randint(1, q - 1)
+            if not coprime_only or gcd(p, q) == 1:
+                break
+        pairs.append((p, q))
+    return pairs
+
+
+@pytest.mark.parametrize("n", [2, 3, 10, 1000, 10 ** 6, (1 << 62) - 1, 1 << 70])
+def test_sampler_reproduces_the_randint_stream(n):
+    for seed, index, coprime_only in ((DEFAULT_SEED, 0, True), (7, 3, False),
+                                      (11, 12, True)):
+        args = (n, seed, index, 500, coprime_only)
+        assert experiments._sample_chunk(*args) == _randint_chunk(*args)
+
+
 def test_mean_costs_rejects_a_wrong_continuant_pair(monkeypatch):
-    # route two runs on every pair: a continuant pair that disagrees with
-    # the run is caught, not averaged
+    # the continuant pair runs on every pair: one that disagrees with the
+    # run is caught, not averaged.  Scalar path first:
     def doubled(exps):
         cp = continuants(exps)
         return dataclasses.replace(cp, Q=2 * cp.Q)
 
     monkeypatch.setattr(experiments, "continuants", doubled)
-    with pytest.raises(ConsistencyError):
+    with pytest.raises(ConsistencyError, match="disagree"):
+        mean_costs(_SCALAR_SPEC)
+
+    # batch path: the backward pass reads one digit off by one
+    lockstep_continuants = experiments._lockstep_continuants
+
+    def digit_off(steps, n):
+        live, a = steps[0]
+        steps[0] = (live, a + (np.arange(len(a)) == 0))
+        return lockstep_continuants(steps, n)
+
+    monkeypatch.setattr(experiments, "_lockstep_continuants", digit_off)
+    with pytest.raises(ConsistencyError, match="disagree"):
         mean_costs(OmegaSpec(N=20, mode="exhaustive"))
 
 
+def test_lockstep_continuants_refuse_to_leave_int64():
+    # a digit no run below 2^62 can produce raises instead of wrapping
+    one = np.array([0])
+    x, y, e = experiments._lockstep_continuants([(one, np.array([61]))], 1)
+    assert (x[0], y[0], e[0]) == (1, 1 << 61, 0)
+    with pytest.raises(ConsistencyError, match="leaves"):
+        experiments._lockstep_continuants([(one, np.array([62]))], 1)
+
+
+def _patch_run(monkeypatch, change):
+    lockstep_run = experiments._lockstep_run
+
+    def patched(p, q):
+        k, s, terminal, steps = lockstep_run(p, q)
+        change(k, s, terminal)
+        return k, s, terminal, steps
+
+    monkeypatch.setattr(experiments, "_lockstep_run", patched)
+
+
 def test_mean_costs_rejects_a_wrong_terminal(monkeypatch):
-    # route one requires the terminal's odd part to be the odd gcd
+    # the terminal's odd part must be the odd gcd, on both paths
     def tripled(p, q, canonical=True):
         exps, terminal = _exponent_run(p, q, canonical)
         return exps, 3 * terminal
 
     monkeypatch.setattr(experiments, "_exponent_run", tripled)
-    with pytest.raises(ConsistencyError):
+    with pytest.raises(ConsistencyError, match="odd gcd"):
+        mean_costs(_SCALAR_SPEC)
+
+    def triple(k, s, terminal):
+        terminal *= 3
+
+    _patch_run(monkeypatch, triple)
+    with pytest.raises(ConsistencyError, match="odd gcd"):
+        mean_costs(OmegaSpec(N=20, mode="exhaustive"))
+
+
+def test_mean_costs_rejects_a_wrong_shift_count(monkeypatch):
+    # the content exponent of the continuant pair is built without S
+    def one_more_shift(k, s, terminal):
+        s[-1] += 1
+
+    _patch_run(monkeypatch, one_more_shift)
+    with pytest.raises(ConsistencyError, match="disagree"):
+        mean_costs(OmegaSpec(N=20, mode="exhaustive"))
+
+
+def test_mean_costs_sends_bound_violations_to_the_check(monkeypatch):
+    def inflated(k, s, terminal):
+        k[5] = 40
+
+    _patch_run(monkeypatch, inflated)
+    with pytest.raises(ConsistencyError, match="step bound"):
         mean_costs(OmegaSpec(N=20, mode="exhaustive"))
 
 

@@ -22,3 +22,11 @@ def test_moments_match_statistics():
     assert mean == pytest.approx(statistics.fmean(xs), rel=1e-15)
     assert se * math.sqrt(len(xs)) == pytest.approx(statistics.stdev(xs),
                                                     rel=1e-14)
+
+
+def test_moments_of_integers_do_not_cancel():
+    # the float formula loses all of this variance to cancellation
+    xs = [10 ** 9, 10 ** 9 + 1, 10 ** 9 + 2]
+    mean, se = moments(len(xs), sum(xs), sum(x * x for x in xs), 1.0)
+    assert mean == 10 ** 9 + 1
+    assert se == pytest.approx(math.sqrt(1 / 3), rel=1e-15)
