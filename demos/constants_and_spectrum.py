@@ -2,7 +2,8 @@
 
 The dominant eigenvalue of the weighted transfer operator equals 1 at the
 fixed point (t, v) = (1, 0); its first derivatives there are the two base
-constants.  The collocation solver recovers both to ~1e-8 on a 48-point
+constants.  First-order perturbation of the collocation matrix, with its
+left and right dominant eigenvectors, recovers both to ~1e-13 on a 48-point
 grid, with nothing shared between the two computations beyond arithmetic.
 """
 from clgcd.constants import m_table

@@ -1,144 +1,9 @@
 """Continued-logarithm gcd: the algorithm, its cost algebra, and the
 average-case analysis toolkit (closed-form constants, transfer-operator
-numerics, ensemble experiments)."""
+numerics, ensemble experiments).
 
-from .algorithm import (
-    CANONICAL,
-    GREEDY,
-    ContinuantPair,
-    CostVector,
-    StepRecord,
-    Trace,
-    cf_eval,
-    cl_run,
-    cl_step,
-    continuants,
-    cost_vector,
-    is_canonical,
-)
-from .constants import (
-    ConstantsTable,
-    const_A,
-    const_B_conjectured,
-    const_D,
-    const_E,
-    const_H_conjectured,
-    m_table,
-    series_tail_bound,
-)
-from .dyadic import (
-    DyadicNorm,
-    IntMatrix2,
-    dyadic_norm,
-    dyadic_valuation,
-    g2,
-    lft_apply,
-    lft_derivative_at,
-)
-from .dynamics import (
-    BirkhoffReport,
-    OrbitSample,
-    OrbitStep,
-    birkhoff_estimates,
-    branch_of,
-    orbit,
-    psi,
-    t_apply,
-    transfer_apply,
-)
-from .errors import ConsistencyError, ConvergenceError, DomainError, PoleError
-from .experiments import (
-    COST_KEYS,
-    DEFAULT_SEED,
-    ConjectureReport,
-    DirichletReport,
-    ExperimentReport,
-    OmegaSpec,
-    SlopeReport,
-    WorstCaseReport,
-    conjecture_check,
-    dirichlet_check,
-    mean_costs,
-    omega_iter,
-    slope_estimate,
-    theory_means,
-    worstcase_scan,
-)
-from .spectral import (
-    CollocationGrid,
-    SpectralResult,
-    TaylorEstimates,
-    build_matrix,
-    dominant_eigen,
-    solve_operator,
-    taylor_estimates,
-    truncation_depth,
-)
+Import from the submodules: ``algorithm``, ``constants``, ``dyadic``,
+``dynamics``, ``experiments``, ``parallel``, ``spectral`` and ``errors``.
+"""
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "CANONICAL",
-    "GREEDY",
-    "COST_KEYS",
-    "DEFAULT_SEED",
-    "BirkhoffReport",
-    "CollocationGrid",
-    "ConjectureReport",
-    "ConsistencyError",
-    "ConstantsTable",
-    "ContinuantPair",
-    "ConvergenceError",
-    "CostVector",
-    "DirichletReport",
-    "DomainError",
-    "DyadicNorm",
-    "ExperimentReport",
-    "IntMatrix2",
-    "OmegaSpec",
-    "OrbitSample",
-    "OrbitStep",
-    "PoleError",
-    "SlopeReport",
-    "SpectralResult",
-    "StepRecord",
-    "TaylorEstimates",
-    "Trace",
-    "WorstCaseReport",
-    "birkhoff_estimates",
-    "branch_of",
-    "build_matrix",
-    "cf_eval",
-    "cl_run",
-    "cl_step",
-    "conjecture_check",
-    "const_A",
-    "const_B_conjectured",
-    "const_D",
-    "const_E",
-    "const_H_conjectured",
-    "continuants",
-    "cost_vector",
-    "dirichlet_check",
-    "dominant_eigen",
-    "dyadic_norm",
-    "dyadic_valuation",
-    "g2",
-    "is_canonical",
-    "lft_apply",
-    "lft_derivative_at",
-    "m_table",
-    "mean_costs",
-    "omega_iter",
-    "orbit",
-    "psi",
-    "series_tail_bound",
-    "slope_estimate",
-    "solve_operator",
-    "t_apply",
-    "taylor_estimates",
-    "theory_means",
-    "transfer_apply",
-    "truncation_depth",
-    "worstcase_scan",
-]

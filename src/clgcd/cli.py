@@ -184,7 +184,7 @@ def _cmd_eigen(args) -> str:
 
 
 def _cmd_taylor(args) -> str:
-    est = taylor_estimates(n=args.grid, fd_step=args.fd_step)
+    est = taylor_estimates(n=args.grid)
     table = m_table()
     if args.json:
         out = est.to_json_dict()
@@ -196,8 +196,9 @@ def _cmd_taylor(args) -> str:
         f"(closed form A = {table.A:.6f}, diff {est.entropy_slope - table.A:+.2e})",
         f" dlambda/dv = {est.shift_slope:.6f} "
         f"(closed form D = {table.D:.6f}, diff {est.shift_slope - table.D:+.2e})",
-        f"fd step = {est.fd_step:g}, Richardson order = {est.richardson_order}, "
-        f"grid = {est.grid_size}",
+        f"grid = {est.grid_size}, branches = {est.a_max}, "
+        f"iterations = {est.iterations[0]} (right), {est.iterations[1]} (left)",
+        f"residual = {est.residual:.3e}",
     ])
 
 
@@ -372,8 +373,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--eigenfunction", action="store_true",
                     help="include eigenfunction samples in JSON output")
 
-    sp = add("taylor", _cmd_taylor, "finite-difference eigenvalue slopes vs A, D")
-    sp.add_argument("--fd-step", type=float, default=1e-2)
+    sp = add("taylor", _cmd_taylor,
+             "eigenvector-perturbation eigenvalue slopes vs A, D")
     sp.add_argument("--grid", type=int, default=48)
 
     sp = add("experiment", _cmd_experiment, "mean costs or slopes over Omega_N")

@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import math
 import multiprocessing
+import os
 
 
 def derive_seed(seed: int, label: str, index: int) -> int:
@@ -44,10 +45,12 @@ def map_chunks(worker, chunks, threads: int = 1) -> list:
     """Apply ``worker`` to every chunk descriptor, preserving chunk order.
 
     ``worker`` must be a module-level function (picklable) when threads > 1.
+    The pool never has more processes than chunks or CPUs.
     """
     chunks = list(chunks)
-    if threads <= 1 or len(chunks) <= 1:
+    processes = min(threads, len(chunks), os.cpu_count() or 1)
+    if processes <= 1:
         return [worker(c) for c in chunks]
     ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(processes=min(threads, len(chunks))) as pool:
+    with ctx.Pool(processes=processes) as pool:
         return pool.map(worker, chunks)

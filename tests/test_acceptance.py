@@ -155,8 +155,8 @@ def test_c05_spectral():
     assert sup < 1e-6                                        # measured 1e-13
 
     est = taylor_estimates(n=48)
-    assert est.entropy_slope == pytest.approx(TABLE.A, abs=1e-3)  # 4e-9
-    assert est.shift_slope == pytest.approx(TABLE.D, abs=1e-3)    # 3e-9
+    assert est.entropy_slope == pytest.approx(TABLE.A, abs=1e-3)  # 8e-14
+    assert est.shift_slope == pytest.approx(TABLE.D, abs=1e-3)    # 5e-14
 
     worst = 0.0
     for t in np.linspace(0.8, 1.2, 5):

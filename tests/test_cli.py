@@ -143,6 +143,17 @@ def test_taylor_json(capsys):
     assert d["D_estimate"] == pytest.approx(d["D_closed"], abs=1e-5)
 
 
+def test_taylor_text(capsys):
+    code, out, _ = invoke(capsys, "taylor", "--grid", "32")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0].startswith("-dlambda/dt = 1.623524 (closed form A = 1.623524")
+    assert lines[1].startswith(" dlambda/dv = 0.976936 (closed form D = 0.976936")
+    assert lines[2].startswith("grid = 32, branches = ")
+    name, value = lines[3].split(" = ")
+    assert name == "residual" and float(value) < 1e-10
+
+
 def test_experiment_exhaustive_with_csv(capsys, tmp_path):
     out_file = tmp_path / "costs.csv"
     code, out, _ = invoke(capsys, "experiment", "--nmax", "60",

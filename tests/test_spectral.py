@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -111,16 +115,24 @@ def test_power_iteration_failure_modes():
 def test_taylor_slopes_match_closed_forms():
     table = m_table()
     est = taylor_estimates(n=32)
-    assert est.entropy_slope == pytest.approx(table.A, abs=1e-5)
-    assert est.shift_slope == pytest.approx(table.D, abs=1e-5)
-    assert est.richardson_order == 4
+    assert est.entropy_slope == pytest.approx(table.A, abs=1e-11)
+    assert est.shift_slope == pytest.approx(table.D, abs=1e-11)
+    assert est.a_max == truncation_depth(1.0, 0.0, 1e-14)
+    assert est.residual < 1e-10
+    assert all(0 < it < 100 for it in est.iterations)
     d = est.to_json_dict()
     assert d["A_estimate"] == est.entropy_slope
     assert d["grid_size"] == 32
+    assert d["residual"] == est.residual
 
 
-def test_taylor_step_validation():
-    with pytest.raises(DomainError):
-        taylor_estimates(fd_step=0.5)
-    with pytest.raises(DomainError):
-        taylor_estimates(fd_step=1e-5)
+def test_constants_demo_runs():
+    root = Path(__file__).resolve().parents[1]
+    path = [str(root / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    demo = root / "demos" / "constants_and_spectrum.py"
+    proc = subprocess.run([sys.executable, str(demo)], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "-d lambda/dt = 1.623523678" in proc.stdout
+    assert "d lambda/dv = 0.976936081" in proc.stdout
