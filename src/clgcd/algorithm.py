@@ -38,6 +38,8 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd
 
+import numpy as np
+
 from .constants import LN2
 from .dyadic import (
     IntMatrix2,
@@ -210,6 +212,195 @@ def _exponent_run(p: int, q: int, canonical: bool = True):
         if r == 0:
             return exps, u << a
         u, w = r, u << a
+
+
+# The int64 lockstep serves every pair below 2^62, and the leading-word
+# kernel decides digits on words of 62 bits.
+_WORD_BITS = 62
+_BATCH_LIMIT = 1 << _WORD_BITS
+# a leading-word batch stops before an entry of its matrix could pass 2^61
+_MATRIX_BITS = 61
+
+_bit_length = np.frompyfunc(int.bit_length, 1, 1)
+
+
+def _bitlen(x: np.ndarray) -> np.ndarray:
+    """int.bit_length of every entry of a positive int64 array."""
+    b = np.frexp(x.astype(np.float64))[1].astype(np.int64)
+    # above 2^53 the conversion can round up to the next power of two
+    b -= (x >> (b - 1)) == 0
+    return b
+
+
+def _v2(x: np.ndarray) -> np.ndarray:
+    """2-adic valuation of every entry of a positive int64 array."""
+    return _bitlen(x & -x) - 1
+
+
+def _lockstep_run(p: np.ndarray, q: np.ndarray):
+    """``_exponent_run`` (canonical) on every pair at once, in int64.
+
+    Returns K, S and the terminal modulus per pair, and the digits as
+    one (indices of the live pairs, their digits) entry per pass.
+    """
+    n = len(p)
+    k = np.zeros(n, np.int64)
+    s = np.zeros(n, np.int64)
+    terminal = np.zeros(n, np.int64)
+    steps = list(_lockstep_passes(p, q, k, s, terminal))
+    return k, s, terminal, steps
+
+
+def _lockstep_passes(p, q, k, s, terminal):
+    """The passes of ``_lockstep_run``: all live pairs take one step per
+    pass and finished pairs drop out.  Yields (indices of the live pairs,
+    their digits) per pass and fills in K, S and the terminal modulus.
+    """
+    passes = 0
+    live = np.arange(len(p))
+    u, w = p, q
+    while live.size:
+        a = _bitlen(w // u) - 1
+        # canonical: a zero remainder under a >= 1 is taken with a - 1
+        a -= (w == u << a) & (a >= 1)
+        shifted = u << a
+        r = w - shifted
+        yield live, a
+        passes += 1
+        s[live] += a
+        done = r == 0
+        k[live[done]] = passes
+        terminal[live[done]] = shifted[done]
+        keep = ~done
+        live, u, w = live[keep], r[keep], shifted[keep]
+
+
+def _certified_batch(uh: np.ndarray, wh: np.ndarray) -> np.ndarray:
+    """Digits of u/w decided on its leading words uh = u >> sh, wh = w >> sh.
+
+    x = u/w lies strictly between uh/(wh+1) and (uh+1)/wh.  Both endpoints
+    step in int64 lockstep; T_a is decreasing, so they swap every step.  A
+    digit a is certified when both endpoints take branch a and the upper
+    endpoint's remainder is positive: x then takes branch a with a positive
+    remainder (the canonical rewrite cannot fire), and the next lower
+    endpoint stays positive.  The forward matrix accumulates as
+    M <- [[-2^a, 1], [2^a, 0]] M, whose entries stay below
+    2^(sum of (a + 1)); a batch stops before that bound passes
+    2^_MATRIX_BITS.  Returns rows m00, m01, m10, m11, shift sum and digit
+    count, one column per pair; a pair with uh = 0 certifies nothing.
+    """
+    n = len(uh)
+    out = np.zeros((6, n), np.int64)
+    out[0] = out[3] = 1
+    live = np.flatnonzero(uh > 0)
+    # lower endpoint nl/dl, upper endpoint nh/dh, matrix, shift sum
+    nl, dh = uh[live], wh[live]
+    dl, nh = dh + 1, nl + 1
+    m01 = m10 = sb = np.zeros(live.size, np.int64)
+    m00 = m11 = sb + 1
+    count = 0
+    while live.size:
+        a = _bitlen(dl // nl) - 1
+        lo, hi = nl << a, nh << a
+        rh = dh - hi
+        sb2 = sb + a
+        # the upper endpoint's branch is at most a; nh <= dh >> a makes it a
+        ok = (nh <= dh >> a) & (rh > 0) & (sb2 < _MATRIX_BITS - count)
+        if not ok.all():
+            stop = ~ok
+            index = live[stop]
+            out[:5, index] = (m00[stop], m01[stop], m10[stop], m11[stop],
+                              sb[stop])
+            out[5, index] = count
+            (live, a, nl, dl, lo, hi, rh, m00, m01, m10, m11,
+             sb2) = (x[ok] for x in (live, a, nl, dl, lo, hi, rh, m00, m01,
+                                     m10, m11, sb2))
+        s0, s1 = m00 << a, m01 << a
+        nl, dl, nh, dh = rh, hi, dl - lo, lo
+        m00, m01, m10, m11 = m10 - s0, m11 - s1, s0, s1
+        sb = sb2
+        count += 1
+    return out
+
+
+def _leading_word_run(pairs):
+    """``_exponent_run`` (canonical) on pairs of any size: K, S, terminal.
+
+    Lehmer's leading-word method in rounds, on object arrays of the big
+    integers.  Every (u, w) first loses its common power of two: the step
+    is scale-invariant, so the digits do not change and the power joins
+    v(terminal).  Pairs with w < 2^62 leave for ``_lockstep_passes``,
+    which finishes them all at once.  The rest hand their leading 62-bit
+    words to ``_certified_batch`` and apply its matrix once to the big
+    integers; a pair with no certified digit takes one scalar step
+    instead.  Every applied batch is checked exactly, |det M| = 2^(shift
+    sum) and 0 < u' < w', or ConsistencyError is raised.  Returns K, S
+    and terminal as lists.
+    """
+    n = len(pairs)
+    k = np.zeros(n, np.int64)
+    s = np.zeros(n, np.int64)
+    scale = np.zeros(n, np.int64)
+    terminal = np.zeros(n, object)
+    finish = []
+    live = np.arange(n)
+    u = np.array([p for p, _ in pairs], object)
+    w = np.array([q for _, q in pairs], object)
+    while live.size:
+        z = u | w
+        z = _bit_length(z & -z) - 1
+        u, w = u >> z, w >> z
+        scale[live] += z.astype(np.int64)
+        small = w < _BATCH_LIMIT
+        if small.any():
+            finish.append((live[small], u[small], w[small]))
+            big = ~small
+            live, u, w = live[big], u[big], w[big]
+            if not live.size:
+                break
+        sh = _bit_length(w) - _WORD_BITS
+        batch = _certified_batch((u >> sh).astype(np.int64),
+                                 (w >> sh).astype(np.int64))
+        m00, m01, m10, m11 = batch[:4].astype(object)
+        shifts, count = batch[4], batch[5]
+        u, w = m00 * u + m01 * w, m10 * u + m11 * w
+        bad = ((np.abs(m00 * m11 - m01 * m10) != 1 << shifts.astype(object))
+               | (u <= 0) | (u >= w)) & (count > 0)
+        if bad.any():
+            raise ConsistencyError("leading-word batch broke the run of "
+                                   f"{pairs[live[np.argmax(bad)]]}")
+        k[live] += count
+        s[live] += shifts
+        stuck = np.flatnonzero(count == 0)
+        if stuck.size:
+            done = np.zeros(live.size, bool)
+            for j in stuck.tolist():
+                i, uj, wj = live[j], u[j], w[j]
+                a = (wj // uj).bit_length() - 1
+                r = wj - (uj << a)
+                if r == 0 and a >= 1:
+                    a -= 1
+                    r = uj << a
+                k[i] += 1
+                s[i] += a
+                if r == 0:
+                    terminal[i] = uj << a << int(scale[i])
+                    done[j] = True
+                else:
+                    u[j], w[j] = r, uj << a
+            if done.any():
+                live, u, w = live[~done], u[~done], w[~done]
+    if finish:
+        live, u, w = (np.concatenate(x) for x in zip(*finish))
+        ks, ss, ts = (np.zeros(live.size, np.int64) for _ in range(3))
+        # run the passes for K, S and the terminal; the digits are not kept
+        for _ in _lockstep_passes(u.astype(np.int64), w.astype(np.int64),
+                                  ks, ss, ts):
+            pass
+        k[live] += ks
+        s[live] += ss
+        terminal[live] = ts.astype(object) << scale[live].astype(object)
+    return k.tolist(), s.tolist(), terminal.tolist()
 
 
 def cf_eval(exponents) -> Fraction:

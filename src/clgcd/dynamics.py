@@ -14,26 +14,36 @@ the spectral module.
 
 ``birkhoff_estimates`` measures the per-step growth rates along orbits of
 high random rationals: shift rate, entropy, dyadic growth of the continuant
-gcd, and the valuation rate of the running gcd from the trace table.
+gcd, and the valuation rate of the running gcd from the trace table.  The
+orbits run through ``algorithm._leading_word_run``, the leading-word
+kernel, which gives K, S and the terminal modulus of ``_exponent_run``
+bit for bit and checks every batch it applies (|det M| = 2^(shift sum),
+0 < u' < w').  Every orbit's terminal must be a power of two.  Chunks of
+orbits fix the seeds and the order of the sums; a pool task runs a fixed
+group of chunks through the kernel in one lockstep.
 """
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import gcd
 
 import numpy as np
 from scipy.special import roots_legendre
 
-from .algorithm import _exponent_run
+from .algorithm import _leading_word_run
 from .constants import LN2, LOG43
 from .dyadic import dyadic_valuation
 from .errors import ConsistencyError, DomainError
 from .parallel import chunk_counts, derive_seed, map_chunks, moments
 from .spectral import CollocationGrid, _branch_matrix, truncation_depth
 
+# a chunk's orbits share one seeded generator; a group's share one lockstep
 _BIRKHOFF_CHUNK = 128
+_BIRKHOFF_GROUP = 16
 
 
 def psi(x):
@@ -165,52 +175,61 @@ class BirkhoffReport:
         }
 
 
-def _birkhoff_chunk(args):
-    import random
-
-    bits, seed, label, chunk_index, count = args
-    rng = random.Random(derive_seed(seed, label, chunk_index))
+def _birkhoff_group(args):
+    bits, seed, label, chunks = args
     lo, hi = 1 << (bits - 1), 1 << bits
-    sums = [0.0] * 4
-    sumsq = [0.0] * 4
-    for _ in range(count):
-        q = rng.randrange(lo, hi)
-        p = rng.randrange(1, q)
-        while gcd(p, q) != 1:
+    pairs = []
+    for index, count in chunks:
+        rng = random.Random(derive_seed(seed, label, index))
+        for _ in range(count):
+            q = rng.randrange(lo, hi)
             p = rng.randrange(1, q)
-        exps, terminal = _exponent_run(p, q, canonical=True)
-        k = len(exps)
-        s = sum(exps)
-        vt = dyadic_valuation(terminal)
-        if terminal != (1 << vt):
-            raise ConsistencyError("coprime input left an odd factor")
-        # terminal modulus times continuant gcd is 2^S, so val(g) = S - vt
-        vg = s - vt
-        vals = (
-            s / k,
-            2.0 * math.log(q) / k,
-            2.0 * vg * LN2 / k,
-            vt / k,
-        )
-        for j, val in enumerate(vals):
-            sums[j] += val
-            sumsq[j] += val * val
-    return count, sums, sumsq
+            while gcd(p, q) != 1:
+                p = rng.randrange(1, q)
+            pairs.append((p, q))
+    orbits = zip(pairs, *_leading_word_run(pairs))
+    parts = []
+    for _, count in chunks:
+        sums = [0.0] * 4
+        sumsq = [0.0] * 4
+        for (_, q), k, s, terminal in islice(orbits, count):
+            vt = dyadic_valuation(terminal)
+            if terminal != (1 << vt):
+                raise ConsistencyError("coprime input left an odd factor")
+            # terminal modulus times continuant gcd is 2^S, so val(g) = S - vt
+            vg = s - vt
+            vals = (
+                s / k,
+                2.0 * math.log(q) / k,
+                2.0 * vg * LN2 / k,
+                vt / k,
+            )
+            for j, val in enumerate(vals):
+                sums[j] += val
+                sumsq[j] += val * val
+        parts.append((count, sums, sumsq))
+    return parts
 
 
 def birkhoff_estimates(bits: int, samples: int, seed: int,
                        threads: int = 1) -> BirkhoffReport:
     """Estimate per-step growth rates from ``samples`` random coprime pairs
     with a ``bits``-bit denominator.  Deterministic in ``seed`` regardless of
-    ``threads`` (fixed chunking, ordered merge).
+    ``threads``: chunks of ``_BIRKHOFF_CHUNK`` orbits fix the seeds and the
+    per-chunk sums, merged in chunk order; groups of ``_BIRKHOFF_GROUP``
+    chunks fix the lockstep, one group per pool task.  Each orbit runs
+    through the leading-word kernel, whose applied batches are checked
+    exactly, and must end on a power-of-two terminal.
     """
     if bits < 16:
         raise DomainError(f"need bits >= 16 for asymptotic rates, got {bits}")
     if samples < 2:
         raise DomainError("need at least 2 samples")
-    chunks = [(bits, seed, "birkhoff", index, count)
-              for index, count in chunk_counts(samples, _BIRKHOFF_CHUNK)]
-    parts = map_chunks(_birkhoff_chunk, chunks, threads)
+    chunks = list(chunk_counts(samples, _BIRKHOFF_CHUNK))
+    groups = [(bits, seed, "birkhoff", chunks[i:i + _BIRKHOFF_GROUP])
+              for i in range(0, len(chunks), _BIRKHOFF_GROUP)]
+    parts = [part for group in map_chunks(_birkhoff_group, groups, threads)
+             for part in group]
     n = sum(p[0] for p in parts)
     means, ses = zip(*(
         moments(n, math.fsum(p[1][j] for p in parts),

@@ -38,7 +38,14 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .algorithm import _exponent_run, continuants
+from .algorithm import (
+    _BATCH_LIMIT,
+    _bitlen,
+    _exponent_run,
+    _lockstep_run,
+    _v2,
+    continuants,
+)
 from .constants import LN2, ConstantsTable, m_table
 from .dyadic import dyadic_valuation
 from .dynamics import BirkhoffReport, birkhoff_estimates
@@ -176,10 +183,6 @@ def check_worstcase_bounds(p: int, q: int, k: int, s: int) -> None:
         )
 
 
-# the int64 lockstep kernel serves every chunk whose q are all below this
-_BATCH_LIMIT = 1 << 62
-
-
 def _stats_chunk(task: tuple):
     pairs = _chunk_pairs(task)
     if max((q for _, q in pairs), default=0) < _BATCH_LIMIT:
@@ -234,49 +237,6 @@ def _stats_scalar(pairs: list):
         sf[2] += ln_r
         sf[3] += ln_r * ln_r
     return n, si, sf
-
-
-def _bitlen(x: np.ndarray) -> np.ndarray:
-    """int.bit_length of every entry of a positive int64 array."""
-    b = np.frexp(x.astype(np.float64))[1].astype(np.int64)
-    # above 2^53 the conversion can round up to the next power of two
-    b -= (x >> (b - 1)) == 0
-    return b
-
-
-def _v2(x: np.ndarray) -> np.ndarray:
-    """2-adic valuation of every entry of a positive int64 array."""
-    return _bitlen(x & -x) - 1
-
-
-def _lockstep_run(p: np.ndarray, q: np.ndarray):
-    """``_exponent_run`` (canonical) on every pair at once, in int64.
-
-    All live pairs take one step per pass and finished pairs drop out.
-    Returns K, S and the terminal modulus per pair, and the digits as
-    one (indices of the live pairs, their digits) entry per pass.
-    """
-    n = len(p)
-    k = np.zeros(n, np.int64)
-    s = np.zeros(n, np.int64)
-    terminal = np.zeros(n, np.int64)
-    steps = []
-    live = np.arange(n)
-    u, w = p, q
-    while live.size:
-        a = _bitlen(w // u) - 1
-        # canonical: a zero remainder under a >= 1 is taken with a - 1
-        a -= (w == u << a) & (a >= 1)
-        shifted = u << a
-        r = w - shifted
-        steps.append((live, a))
-        s[live] += a
-        done = r == 0
-        k[live[done]] = len(steps)
-        terminal[live[done]] = shifted[done]
-        keep = ~done
-        live, u, w = live[keep], r[keep], shifted[keep]
-    return k, s, terminal, steps
 
 
 def _lockstep_continuants(steps: list, n: int):

@@ -13,6 +13,8 @@ import hashlib
 import math
 import multiprocessing
 import os
+from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 
 
 def derive_seed(seed: int, label: str, index: int) -> int:
@@ -45,12 +47,32 @@ def map_chunks(worker, chunks, threads: int = 1) -> list:
     """Apply ``worker`` to every chunk descriptor, preserving chunk order.
 
     ``worker`` must be a module-level function (picklable) when threads > 1.
-    The pool never has more processes than chunks or CPUs.
+    The pool never has more processes than chunks or CPUs.  An exception
+    from a worker keeps its type and is noted with its chunk index; a
+    worker process that dies raises ``BrokenProcessPool`` instead of
+    hanging the map.
     """
     chunks = list(chunks)
     processes = min(threads, len(chunks), os.cpu_count() or 1)
+    run = partial(_run_chunk, worker)
     if processes <= 1:
-        return [worker(c) for c in chunks]
-    ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(processes=processes) as pool:
-        return pool.map(worker, chunks)
+        return list(map(run, enumerate(chunks)))
+    # fork: a fresh pool per call must not re-import numpy and scipy
+    with ProcessPoolExecutor(
+            processes, mp_context=multiprocessing.get_context("fork")) as pool:
+        # four batches per process, as multiprocessing.Pool.map sends them
+        return list(pool.map(run, enumerate(chunks),
+                             chunksize=-(-len(chunks) // (4 * processes))))
+
+
+def _run_chunk(worker, item):
+    index, chunk = item
+    try:
+        return worker(chunk)
+    except Exception as exc:
+        note = f"raised by chunk {index}"
+        if hasattr(exc, "add_note"):
+            exc.add_note(note)
+        else:                       # Python 3.10 has no exception notes
+            exc.args = (*exc.args, note)
+        raise

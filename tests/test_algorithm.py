@@ -1,11 +1,13 @@
 import dataclasses
 import json
 import math
+import random
 from fractions import Fraction
 from math import gcd
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clgcd import algorithm
@@ -17,6 +19,7 @@ from clgcd.algorithm import (
     StepRecord,
     Trace,
     _exponent_run,
+    _leading_word_run,
     cf_eval,
     cl_run,
     cl_step,
@@ -24,7 +27,7 @@ from clgcd.algorithm import (
     cost_vector,
     is_canonical,
 )
-from clgcd.errors import DomainError
+from clgcd.errors import ConsistencyError, DomainError
 
 LN2 = math.log(2)
 
@@ -337,3 +340,137 @@ def test_cost_vector_agrees_with_continuants(digits):
     assert cost.q_exp - cost.g_exp == dyadic_valuation(cp.R)
     assert cost.q2 - cost.rho == pytest.approx(
         2 * LN2 * dyadic_valuation(cp.R), rel=1e-13, abs=1e-13)
+
+
+# ------------------------------------------------ the leading-word kernel
+
+def _scalar_runs(pairs):
+    runs = [_exponent_run(p, q) for p, q in pairs]
+    return ([len(e) for e, _ in runs], [sum(e) for e, _ in runs],
+            [t for _, t in runs])
+
+
+@st.composite
+def big_pairs(draw):
+    bits = draw(st.integers(min_value=1, max_value=2048))
+    q = draw(st.integers(min_value=2, max_value=max(2, 1 << bits)))
+    return draw(st.integers(min_value=1, max_value=q - 1)), q
+
+
+# a division by zero in the certificate shows up as a numpy warning; one
+# call costs about as many numpy passes for ten pairs as for one
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=50)
+@given(st.lists(big_pairs(), min_size=1, max_size=10))
+def test_leading_word_run_matches_scalar_kernel(pairs):
+    assert _leading_word_run(pairs) == _scalar_runs(pairs)
+
+
+def _edge_pairs():
+    rng = random.Random(7)
+    out = []
+    for bits in (40, 62, 63, 64, 100, 256, 1000):
+        p = rng.getrandbits(bits) | 1 << (bits - 1)
+        for a in (0, 1, 2, 7, 30, 61, 62, 64):
+            # q = 2^a p +- 1, and +- the last bit of q's leading word
+            q0 = p << a
+            sh = max(q0.bit_length() - 62, 0)
+            for d in {1, (1 << sh) - 1 or 1, 1 << sh, (1 << sh) + 1}:
+                out += [(p, q) for q in (q0 - d, q0 + d) if p < q]
+    for a in (0, 1, 3, 20, 60):
+        for sh in (1, 10, 100):
+            # the upper endpoint (uh + 1)/wh sits exactly on 2^-a: its
+            # remainder is 0, so the first digit must not be certified
+            top = (1 << (62 - a)) - 1
+            big_u = rng.randrange(top >> 1, top)
+            out.append((big_u << sh | ((1 << sh) - 1),
+                        (big_u + 1) << (a + sh)))
+    out += [(1, 1 << n) for n in (1, 2, 61, 62, 63, 64, 300, 2048)]
+    out += [(q - 1, q) for q in (2, 3, (1 << 62) - 1, 1 << 62, (1 << 62) + 1,
+                                 (1 << 256) + 1, rng.getrandbits(500) | 1)]
+    for q in ((1 << 62) - 1, 1 << 62, (1 << 62) + 1, (1 << 62) + 3):
+        out += [(p, q) for p in (1, 2, q // 3, q // 2, rng.randrange(1, q))]
+    # common power of two times a common odd factor, also one >= 2^62
+    for d in (3, 3 ** 40, 5 * 3 ** 45):
+        for e in (1, 5, 70):
+            p, q = sorted(rng.getrandbits(200) | 1 for _ in range(2))
+            out.append(((d * p) << e, (d * q) << e))
+    return out
+
+
+@pytest.mark.filterwarnings("error")
+def test_leading_word_run_edge_families():
+    pairs = _edge_pairs()
+    assert _leading_word_run(pairs) == _scalar_runs(pairs)
+
+
+def test_leading_word_batches_stay_below_the_matrix_limit(monkeypatch):
+    # at a low limit the guard cuts every batch short; the runs must not
+    # change and no applied matrix may reach the limit
+    seen = []
+    certified_batch = algorithm._certified_batch
+
+    def recording(uh, wh):
+        batch = certified_batch(uh, wh)
+        seen.append(int(np.abs(batch[:4]).max()))
+        return batch
+
+    monkeypatch.setattr(algorithm, "_MATRIX_BITS", 12)
+    monkeypatch.setattr(algorithm, "_certified_batch", recording)
+    rng = random.Random(5)
+    pairs = [(rng.getrandbits(299), rng.getrandbits(300) | 1 << 299)
+             for _ in range(40)]
+    assert _leading_word_run(pairs) == _scalar_runs(pairs)
+    assert 0 < max(seen) < 1 << 12
+
+
+def test_certificate_alone_keeps_the_digits(monkeypatch):
+    # with the matrix guard off, batches run on until their endpoints
+    # straddle several branches; the same-digit and positive-remainder
+    # tests alone must still reject every digit they do not prove.  Runs
+    # with large digits and their neighbours reach that state often.
+    monkeypatch.setattr(algorithm, "_MATRIX_BITS", 1 << 20)
+    rng = random.Random(8)
+    pairs = []
+    while len(pairs) < 600:
+        digits = [rng.choice((0, 0, 1, rng.randrange(2, 40)))
+                  for _ in range(rng.randrange(3, 40))] + [0]
+        cp = continuants(digits)
+        pairs += [(cp.P + dp, cp.Q + dq) for dp, dq in
+                  ((0, 0), (1, 0), (0, 1), (-1, 1)) if 0 < cp.P + dp < cp.Q + dq]
+    assert _leading_word_run(pairs) == _scalar_runs(pairs)
+
+
+def test_leading_word_run_finishes_coprime_orbits_in_int64(monkeypatch):
+    # the common power of two comes out every round, so a coprime orbit
+    # always reaches w < 2^62 and the int64 lockstep finishes it
+    finished = []
+    lockstep_passes = algorithm._lockstep_passes
+
+    def counting(p, q, *out):
+        finished.append(len(p))
+        return lockstep_passes(p, q, *out)
+
+    monkeypatch.setattr(algorithm, "_lockstep_passes", counting)
+    rng = random.Random(6)
+    pairs = []
+    while len(pairs) < 64:
+        q = rng.getrandbits(256) | 1 << 255
+        p = rng.randrange(1, q)
+        if gcd(p, q) == 1:
+            pairs.append((p, q))
+    assert _leading_word_run(pairs) == _scalar_runs(pairs)
+    assert finished == [len(pairs)]
+
+
+def test_leading_word_run_rejects_a_broken_batch(monkeypatch):
+    certified_batch = algorithm._certified_batch
+
+    def one_shift_more(uh, wh):
+        batch = certified_batch(uh, wh)
+        batch[4] += batch[5] > 0
+        return batch
+
+    monkeypatch.setattr(algorithm, "_certified_batch", one_shift_more)
+    with pytest.raises(ConsistencyError, match="leading-word"):
+        _leading_word_run([(3 ** 100, 5 ** 70)])

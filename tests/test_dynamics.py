@@ -1,5 +1,6 @@
 import json
 import math
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -8,7 +9,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from clgcd.algorithm import cl_run, continuants
+from clgcd import dynamics
+from clgcd.algorithm import _exponent_run, cl_run, continuants
 from clgcd.dyadic import dyadic_valuation
 from clgcd.dynamics import (
     birkhoff_estimates,
@@ -20,6 +22,7 @@ from clgcd.dynamics import (
     transfer_apply,
 )
 from clgcd.errors import DomainError
+from clgcd.parallel import chunk_counts, derive_seed, moments
 from clgcd.spectral import CollocationGrid, build_matrix
 
 LN2 = math.log(2)
@@ -168,6 +171,51 @@ def test_birkhoff_deterministic_across_threads():
     assert a.to_json_dict() == b.to_json_dict()
     c = birkhoff_estimates(bits=24, samples=300, seed=12)
     assert c.estimates() != a.estimates()
+
+
+def _scalar_birkhoff(bits, samples, seed):
+    # the report by its definition: the orbits of each chunk's seeded
+    # pairs through the scalar step kernel, summed in orbit order, merged
+    # over chunks
+    lo, hi = 1 << (bits - 1), 1 << bits
+    parts = []
+    for index, count in chunk_counts(samples, dynamics._BIRKHOFF_CHUNK):
+        rng = random.Random(derive_seed(seed, "birkhoff", index))
+        sums = [0.0] * 4
+        sumsq = [0.0] * 4
+        for _ in range(count):
+            q = rng.randrange(lo, hi)
+            p = rng.randrange(1, q)
+            while gcd(p, q) != 1:
+                p = rng.randrange(1, q)
+            exps, terminal = _exponent_run(p, q)
+            k, s = len(exps), sum(exps)
+            vt = dyadic_valuation(terminal)
+            assert terminal == 1 << vt
+            vals = (s / k, 2.0 * math.log(q) / k, 2.0 * (s - vt) * LN2 / k,
+                    vt / k)
+            for j, val in enumerate(vals):
+                sums[j] += val
+                sumsq[j] += val * val
+        parts.append((sums, sumsq))
+    keys = ("shift_rate", "entropy", "e2", "valuation_rate")
+    means, ses = zip(*(
+        moments(samples, math.fsum(p[0][j] for p in parts),
+                math.fsum(p[1][j] for p in parts), 1.0)
+        for j in range(4)
+    ))
+    return {"samples": samples, "bits": bits, "seed": seed,
+            "estimates": dict(zip(keys, means)),
+            "std_errors": dict(zip(keys, ses))}
+
+
+# 2200 orbits at 256 bits span two groups of chunks
+@pytest.mark.parametrize("bits, samples", [(256, 2200), (1024, 150)])
+def test_birkhoff_matches_scalar_reference(bits, samples):
+    expect = _scalar_birkhoff(bits, samples, seed=21)
+    for threads in (1, 2):
+        rep = birkhoff_estimates(bits, samples, seed=21, threads=threads)
+        assert rep.to_json_dict() == expect
 
 
 def test_birkhoff_sanity():

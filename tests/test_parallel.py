@@ -1,5 +1,9 @@
 import math
+import os
 import statistics
+import subprocess
+import sys
+from functools import partial
 
 import pytest
 
@@ -33,16 +37,12 @@ def test_moments_of_integers_do_not_cancel():
     assert se == pytest.approx(math.sqrt(1 / 3), rel=1e-15)
 
 
-class _SerialContext:
-    """Stands in for a multiprocessing context: records the pool size and
-    maps in this process, so no worker is started."""
+class _SerialPool:
+    """Stands in for ProcessPoolExecutor: records the pool size and maps
+    in this process, so no worker is started."""
 
-    def __init__(self):
-        self.sizes = []
-
-    def Pool(self, processes):
-        self.sizes.append(processes)
-        return self
+    def __init__(self, sizes, max_workers, mp_context):
+        sizes.append(max_workers)
 
     def __enter__(self):
         return self
@@ -50,8 +50,8 @@ class _SerialContext:
     def __exit__(self, *exc):
         return False
 
-    def map(self, worker, chunks):
-        return [worker(c) for c in chunks]
+    def map(self, fn, items, chunksize=1):
+        return map(fn, items)
 
 
 @pytest.mark.parametrize("threads, chunks, cpus, sizes", [
@@ -61,9 +61,50 @@ class _SerialContext:
     (2, 10, 1, []),         # one CPU: no pool at all
 ])
 def test_map_chunks_pool_is_capped(monkeypatch, threads, chunks, cpus, sizes):
-    ctx = _SerialContext()
-    monkeypatch.setattr(parallel.multiprocessing, "get_context",
-                        lambda method: ctx)
+    seen = []
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor",
+                        partial(_SerialPool, seen))
     monkeypatch.setattr(parallel.os, "cpu_count", lambda: cpus)
     assert map_chunks(abs, range(-chunks, 0), threads) == list(range(chunks, 0, -1))
-    assert ctx.sizes == sizes
+    assert seen == sizes
+
+
+def _fail_on_chunk_3(chunk):
+    if chunk == 3:
+        raise ValueError("bad chunk")
+    return chunk
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_map_chunks_names_the_failing_chunk(monkeypatch, threads):
+    monkeypatch.setattr(parallel.os, "cpu_count", lambda: 2)
+    with pytest.raises(ValueError, match="bad chunk") as info:
+        map_chunks(_fail_on_chunk_3, range(6), threads)
+    assert "raised by chunk 3" in getattr(info.value, "__notes__",
+                                          info.value.args)
+
+
+_DIES_ON_CHUNK_3 = """
+import os
+from clgcd import parallel
+
+def work(chunk):
+    if chunk == 3:
+        os._exit(1)
+    return chunk
+
+if __name__ == "__main__":
+    parallel.os.cpu_count = lambda: 2
+    try:
+        parallel.map_chunks(work, range(6), 2)
+    except Exception as exc:
+        print(type(exc).__name__)
+"""
+
+
+def test_map_chunks_fails_when_a_worker_dies():
+    # the map must raise, not wait forever for the dead worker's chunk
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", _DIES_ON_CHUNK_3], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.stdout.split() == ["BrokenProcessPool"]
