@@ -4,8 +4,12 @@
 
 on [0, 1].  The operator is discretized on a Chebyshev-Lobatto grid with
 Lagrange cardinal interpolation; the branch sum is truncated once its
-geometric tail is provably below a tolerance.  At (t, v) = (1, 0) this is the
-density transformer of the shift-and-subtract map, with dominant eigenvalue 1
+geometric tail is provably below a tolerance.  The branches are dyadic, so
+the truncated sum is a matrix geometric series L_0 (I - G)^-1 (I - G^(A+1)),
+G being 2^(v-t) times the cardinal matrix of x -> x/2; this is exact because
+the interpolant reproduces polynomials of degree < n (Berrut-Trefethen, SIAM
+Review 2004).  At (t, v) = (1, 0) the operator is the density transformer
+of the shift-and-subtract map, with dominant eigenvalue 1
 and eigenfunction 1 / (log(4/3) (x+1)(x+2)); the first partial derivatives of
 the dominant eigenvalue at that point are the entropy-related constants that
 the ``constants`` module computes in closed form.  ``taylor_estimates`` gets
@@ -13,7 +17,9 @@ them by first-order eigenvalue perturbation, d(lambda) = l^T (dM) phi / l^T phi
 with l and phi the left and right dominant eigenvectors of the collocation
 matrix M, to about 1e-13 of the closed forms.
 
-Matrix assembly is vectorized over rows; everything is deterministic.
+Assembling a matrix takes two cardinal matrices, one linear solve and
+about 2 log2(A) matrix products, whatever the truncation depth A; everything
+is deterministic.
 """
 from __future__ import annotations
 
@@ -57,14 +63,15 @@ class CollocationGrid:
     def lagrange_matrix(self, pts) -> np.ndarray:
         """Matrix L with L[i, l] = l-th cardinal function at pts[i].
 
-        Rows at points that coincide with a node are exact unit vectors.
+        Rows at points that coincide with a node, or lie so close to one that
+        the barycentric ratio overflows, are exact unit vectors.
         """
         pts = np.atleast_1d(np.asarray(pts, dtype=float))
         diff = pts[:, None] - self.nodes[None, :]
-        hit = diff == 0.0
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             ratios = self.bary_weights[None, :] / diff
             L = ratios / ratios.sum(axis=1, keepdims=True)
+        hit = np.isinf(ratios)
         rows_hit = hit.any(axis=1)
         if rows_hit.any():
             L[rows_hit] = hit[rows_hit].astype(float)
@@ -84,22 +91,14 @@ class CollocationGrid:
 def _clenshaw_curtis_weights(n: int) -> np.ndarray:
     """Clenshaw-Curtis weights for n Chebyshev-Lobatto points on [-1, 1]."""
     N = n - 1
-    if N == 1:
-        return np.array([1.0, 1.0])
-    theta = np.arange(n) * (math.pi / N)
-    w = np.zeros(n)
-    inner = theta[1:-1]
-    v = np.ones(N - 1)
+    k = np.arange(1, N // 2 + 1)
+    coef = 2.0 / (4.0 * k * k - 1)
     if N % 2 == 0:
-        w[0] = w[-1] = 1.0 / (N * N - 1)
-        for k in range(1, N // 2):
-            v -= 2.0 * np.cos(2.0 * k * inner) / (4.0 * k * k - 1)
-        v -= np.cos(N * inner) / (N * N - 1)
-    else:
-        w[0] = w[-1] = 1.0 / (N * N)
-        for k in range(1, (N - 1) // 2 + 1):
-            v -= 2.0 * np.cos(2.0 * k * inner) / (4.0 * k * k - 1)
-    w[1:-1] = 2.0 * v / N
+        coef[-1] /= 2.0    # the k = N/2 term is cos(N theta) / (N^2 - 1)
+    inner = np.arange(1, N) * (math.pi / N)
+    w = np.empty(n)
+    w[0] = w[-1] = 1.0 / (N * N - 1) if N % 2 == 0 else 1.0 / (N * N)
+    w[1:-1] = 2.0 * (1.0 - np.cos(2.0 * np.outer(inner, k)) @ coef) / N
     return w
 
 
@@ -126,23 +125,32 @@ def truncation_depth(t: float, v: float, tail_tol: float, sup_f: float = 1.0) ->
     return max(0, math.ceil(need)) + 8
 
 
-def _branch_terms(t: float, v: float, grid: CollocationGrid, a_max: int):
-    """Yield (a, 2^(a(v-t)) L_a) for a = 0 .. a_max, L_a the cardinal matrix
-    of branch a on ``grid``; the row factor (1+x)^(-2t) is left to the caller."""
-    x = grid.nodes
-    for a in range(a_max + 1):
-        pts = (0.5 ** a) / (1.0 + x)
-        yield a, (2.0 ** (a * (v - t))) * grid.lagrange_matrix(pts)
+def _branch_matrix(t: float, v: float, grid: CollocationGrid, a_max: int,
+                   weighted: bool = False):
+    """The branch sum over a = 0 .. A = a_max as a matrix on ``grid``.
 
-
-def _branch_matrix(t: float, v: float, grid: CollocationGrid,
-                   a_max: int) -> np.ndarray:
-    """The branch sum over a = 0 .. a_max as a matrix on ``grid``."""
-    m = np.zeros((grid.n, grid.n))
-    for _, term in _branch_terms(t, v, grid, a_max):
-        m += term
-    m *= ((1.0 + grid.nodes) ** (-2.0 * t))[:, None]
-    return m
+    Halving the argument of a cardinal function leaves a polynomial of degree
+    n-1, which the interpolant reproduces; so with H the cardinal matrix at
+    the halved nodes, branch a's cardinal matrix is L_a = L_0 H^a, and with
+    G = 2^(v-t) H the sum is L_0 (I - G)^-1 (I - G^(A+1)), times the row
+    factor (1+x)^(-2t).  That costs two cardinal matrices, one linear solve
+    and about 2 log2(A) matrix products.  ``weighted`` also returns the
+    a-weighted sum M_a = L_0 G (I - G)^-2 (I - (A+1) G^A + A G^(A+1)), with
+    the same row factor.
+    """
+    x, eye = grid.nodes, np.eye(grid.n)
+    g = 2.0 ** (v - t) * grid.lagrange_matrix(x / 2.0)
+    g_top = np.linalg.matrix_power(g, a_max)
+    g_end = g_top @ g
+    rows = ((1.0 + x) ** (-2.0 * t))[:, None]
+    # rows L_0 (I - G)^-1, as the transpose of one solve
+    head = rows * np.linalg.solve((eye - g).T,
+                                  grid.lagrange_matrix(1.0 / (1.0 + x)).T).T
+    m = head - head @ g_end
+    if not weighted:
+        return m
+    head = np.linalg.solve((eye - g).T, head.T).T
+    return m, head @ g @ (eye - (a_max + 1) * g_top + a_max * g_end)
 
 
 def build_matrix(t: float, v: float, grid: CollocationGrid,
@@ -264,21 +272,14 @@ class TaylorEstimates:
 def taylor_estimates(n: int = 48, tail_tol: float = 1e-14) -> TaylorEstimates:
     """-d(lambda)/dt and d(lambda)/dv at (1, 0) on an n-point grid.
 
-    One branch sum builds M and its companion M_a = sum_a a 2^(a(v-t)) L_a
-    (same row factor), so that dM/dv = ln2 M_a and
+    One closed-form branch sum builds M and its companion
+    M_a = sum_a a 2^(a(v-t)) L_a (same row factor), so that dM/dv = ln2 M_a and
     dM/dt = -ln2 M_a - 2 ln(1+x) M.  With M phi = lambda phi this gives
     D = ln2 l^T M_a phi / l^T phi and A = D + 2 lambda l^T(ln(1+x) phi) / l^T phi.
     """
     grid = CollocationGrid(n)
     a_max = truncation_depth(1.0, 0.0, tail_tol)
-    m = np.zeros((n, n))
-    m_a = np.zeros((n, n))
-    for a, term in _branch_terms(1.0, 0.0, grid, a_max):
-        m += term
-        m_a += a * term
-    rows = ((1.0 + grid.nodes) ** -2.0)[:, None]
-    m *= rows
-    m_a *= rows
+    m, m_a = _branch_matrix(1.0, 0.0, grid, a_max, weighted=True)
     right = dominant_eigen(m, grid, t=1.0, v=0.0, a_max=a_max)
     left = dominant_eigen(m.T, grid, t=1.0, v=0.0, a_max=a_max)
     phi, ell = right.eigenfunction, left.eigenfunction

@@ -148,11 +148,11 @@ def test_c05_spectral():
     t0 = time.monotonic()
 
     pair = solve_operator(t=1.0, v=0.0, n=48)
-    assert pair.eigenvalue == pytest.approx(1.0, abs=1e-8)   # measured 2e-13
+    assert pair.eigenvalue == pytest.approx(1.0, abs=1e-8)   # measured 1.6e-13
 
     grid = CollocationGrid(48)
     sup = float(np.max(np.abs(pair.eigenfunction - psi(grid.nodes))))
-    assert sup < 1e-6                                        # measured 1e-13
+    assert sup < 1e-6                                        # measured 1.3e-13
 
     est = taylor_estimates(n=48)
     assert est.entropy_slope == pytest.approx(TABLE.A, abs=1e-3)  # 8e-14
@@ -178,10 +178,10 @@ def test_c06_invariant_density():
     grid = CollocationGrid(64)
     image = transfer_apply(psi, t=1.0, v=0.0, grid=grid)
     residual = float(np.max(np.abs(image - psi(grid.nodes))))
-    assert residual < 1e-8                                   # measured 3e-11
+    assert residual < 1e-8                                   # measured 1.0e-13
 
     mass = quad_gl(psi, 0.0, 1.0)
-    assert mass == pytest.approx(1.0, abs=1e-10)             # measured 1e-15
+    assert mass == pytest.approx(1.0, abs=1e-10)             # measured 7e-16
     print(f"\nACCEPTANCE 6: PASS — fixed-point residual {residual:.1e}, "
           f"integral 1 within {abs(mass - 1.0):.1e}")
 

@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 
 from clgcd.constants import m_table
-from clgcd.dynamics import psi
+from clgcd.dynamics import psi, transfer_apply
 from clgcd.errors import ConvergenceError, DomainError
 from clgcd.spectral import (
     CollocationGrid,
+    _branch_matrix,
+    _clenshaw_curtis_weights,
     build_matrix,
     dominant_eigen,
     solve_operator,
@@ -37,9 +39,34 @@ def test_quadrature_weights_exact_on_polynomials():
         assert val == pytest.approx(1.0 / (k + 1), abs=1e-14)
 
 
+def _looped_weights(n):
+    """Clenshaw-Curtis weights on [-1, 1], one cosine term at a time."""
+    N = n - 1
+    inner = np.arange(1, N) * (math.pi / N)
+    v = np.ones(N - 1)
+    for k in range(1, N // 2 + 1):
+        c = 1.0 if 2 * k == N else 2.0
+        v -= c * np.cos(2.0 * k * inner) / (4.0 * k * k - 1)
+    end = 1.0 / (N * N - 1) if N % 2 == 0 else 1.0 / (N * N)
+    return np.concatenate(([end], 2.0 * v / N, [end]))
+
+
+def test_quadrature_weights_match_the_cosine_loop():
+    for n in range(2, 70):
+        diff = _clenshaw_curtis_weights(n) - _looped_weights(n)
+        assert np.max(np.abs(diff)) < 1e-15, n
+
+
 def test_lagrange_matrix_at_nodes_is_identity():
     grid = CollocationGrid(9)
     assert np.array_equal(grid.lagrange_matrix(grid.nodes), np.eye(9))
+
+
+def test_lagrange_matrix_next_to_a_node_is_a_unit_row():
+    # the barycentric ratio overflows at subnormal distances from node 0
+    grid = CollocationGrid(16)
+    rows = grid.lagrange_matrix([5e-324, 1e-320, 0.0])
+    assert np.array_equal(rows, np.eye(16)[[0, 0, 0]])
 
 
 def test_interpolation_exact_on_polynomials():
@@ -62,6 +89,43 @@ def test_truncation_depth():
         truncation_depth(1.0, 0.0, 0.0)
     with pytest.raises(DomainError):
         truncation_depth(0.5, 0.5, 1e-10)
+
+
+def _looped_branch_sums(t, v, grid, a_max):
+    """Both branch sums, one cardinal matrix per branch a = 0 .. a_max."""
+    m = np.zeros((grid.n, grid.n))
+    m_a = np.zeros((grid.n, grid.n))
+    for a in range(a_max + 1):
+        term = 2.0 ** (a * (v - t)) * grid.lagrange_matrix(
+            0.5 ** a / (1.0 + grid.nodes))
+        m += term
+        m_a += a * term
+    rows = ((1.0 + grid.nodes) ** (-2.0 * t))[:, None]
+    return rows * m, rows * m_a
+
+
+@pytest.mark.parametrize("n", [16, 64])
+@pytest.mark.parametrize("t,v", [(1.0, 0.0), (0.6, 0.34), (1.4, -0.4)])
+def test_branch_sum_closed_form_matches_the_loop(t, v, n):
+    grid = CollocationGrid(n)
+    for a_max in (0, 1, 5, truncation_depth(t, v, 1e-14)):
+        m, m_a = _branch_matrix(t, v, grid, a_max, weighted=True)
+        loop_m, loop_m_a = _looped_branch_sums(t, v, grid, a_max)
+        assert np.max(np.abs(m - loop_m)) < 1e-13, a_max
+        assert np.max(np.abs(m_a - loop_m_a)) < 1e-13, a_max
+        assert np.array_equal(_branch_matrix(t, v, grid, a_max), m)
+
+
+@pytest.mark.parametrize("n", [16, 64])
+def test_transfer_with_a_thousand_branches_matches_the_loop(n):
+    # t - v = 0.05 is outside the admissible box; the series ratio is 0.966
+    t, v = 1.0, 0.95
+    grid = CollocationGrid(n)
+    a_max = truncation_depth(t, v, 1e-14)
+    assert a_max > 1000
+    out = transfer_apply(np.ones(n), t, v, tail_tol=1e-14, grid=grid)
+    loop = _looped_branch_sums(t, v, grid, a_max)[0] @ np.ones(n)
+    assert np.max(np.abs(out - loop)) < 1e-13
 
 
 def test_parameter_box():
