@@ -178,7 +178,7 @@ def _cmd_eigen(args) -> str:
     return "\n".join([
         f"lambda({args.t:g}, {args.v:g}) = {res.eigenvalue:.12f}",
         f"grid = {res.grid_size}, branches = {res.a_max}, "
-        f"iterations = {res.iterations}",
+        f"tail_tol = {args.tail_tol:g}, iterations = {res.iterations}",
         f"residual = {res.residual:.3e}",
     ])
 

@@ -24,6 +24,7 @@ group of chunks through the kernel in one lockstep.
 """
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -39,7 +40,8 @@ from .constants import LN2, LOG43
 from .dyadic import dyadic_valuation
 from .errors import ConsistencyError, DomainError
 from .parallel import chunk_counts, derive_seed, map_chunks, moments
-from .spectral import CollocationGrid, _branch_matrix, truncation_depth
+from .spectral import (CollocationGrid, _branch_matrix, _shared_grid,
+                       truncation_depth)
 
 # a chunk's orbits share one seeded generator; a group's share one lockstep
 _BIRKHOFF_CHUNK = 128
@@ -116,10 +118,11 @@ def transfer_apply(f, t: float, v: float, tail_tol: float = 1e-10,
     and summed in closed form (one linear solve and about 2 log2(a_max)
     matrix products, so the thousand branches needed near t - v = 0.05 cost
     little more than a few); unlike ``build_matrix`` it does not restrict
-    (t, v) to the admissible box.
+    (t, v) to the admissible box.  The default grid is the solvers' shared
+    64-point grid.
     """
     if grid is None:
-        grid = CollocationGrid(64)
+        grid = _shared_grid(64)
     samples = np.asarray(f(grid.nodes) if callable(f) else f, dtype=float)
     if samples.shape != (grid.n,):
         raise DomainError(f"expected {grid.n} samples, got {samples.shape}")
@@ -127,9 +130,18 @@ def transfer_apply(f, t: float, v: float, tail_tol: float = 1e-10,
     return _branch_matrix(t, v, grid, a_max) @ samples
 
 
+@functools.lru_cache(maxsize=4)
+def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1]."""
+    rule = roots_legendre(order)
+    for array in rule:
+        array.flags.writeable = False
+    return rule
+
+
 def quad_gl(f, a: float, b: float, panels: int = 64, order: int = 8) -> float:
     """Composite Gauss-Legendre quadrature used for density checks."""
-    nodes, weights = roots_legendre(order)
+    nodes, weights = _gauss_legendre(order)
     edges = np.linspace(a, b, panels + 1)
     total = 0.0
     for lo, hi in zip(edges[:-1], edges[1:]):

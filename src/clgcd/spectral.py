@@ -17,12 +17,16 @@ them by first-order eigenvalue perturbation, d(lambda) = l^T (dM) phi / l^T phi
 with l and phi the left and right dominant eigenvectors of the collocation
 matrix M, to about 1e-13 of the closed forms.
 
-Assembling a matrix takes two cardinal matrices, one linear solve and
-about 2 log2(A) matrix products, whatever the truncation depth A; everything
-is deterministic.
+Assembling a matrix takes one linear solve and about 2 log2(A) matrix
+products, whatever the truncation depth A.  Its two cardinal matrices, at x/2
+and at 1/(1+x), depend on the nodes alone: a grid builds them once, on first
+use, and the solvers share one grid per size n from a small bounded cache, so
+every solve at that size reuses them.  Everything a grid holds is read-only,
+and everything is deterministic.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -37,13 +41,17 @@ T_RANGE = (0.6, 1.4)
 V_RANGE = (-0.4, 0.4)
 MIN_GAP = 0.2
 
+#: grid sizes whose shared grid (nodes, weights, cardinal matrices) is kept
+_GRIDS_KEPT = 8
+
 
 class CollocationGrid:
     """Chebyshev-Lobatto nodes on [0, 1] with barycentric interpolation.
 
     nodes are ascending, include both endpoints.  ``quad_weights`` are the
     Clenshaw-Curtis weights for the same nodes (they integrate polynomials of
-    degree n-1 exactly and analytic functions to spectral accuracy).
+    degree n-1 exactly and analytic functions to spectral accuracy).  The
+    arrays are read-only, so that one grid can be shared by every caller.
     """
 
     def __init__(self, n: int):
@@ -59,6 +67,18 @@ class CollocationGrid:
         w *= (-1.0) ** np.arange(n)
         self.bary_weights = w
         self.quad_weights = _clenshaw_curtis_weights(n) / 2.0  # [-1,1] -> [0,1]
+        for array in (self.nodes, self.bary_weights, self.quad_weights):
+            array.flags.writeable = False
+
+    @functools.cached_property
+    def _cardinals(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only cardinal matrices at the halved nodes x/2 and at the
+        branch-0 points 1/(1+x), built on first use."""
+        out = (self.lagrange_matrix(self.nodes / 2.0),
+               self.lagrange_matrix(1.0 / (1.0 + self.nodes)))
+        for array in out:
+            array.flags.writeable = False
+        return out
 
     def lagrange_matrix(self, pts) -> np.ndarray:
         """Matrix L with L[i, l] = l-th cardinal function at pts[i].
@@ -86,6 +106,12 @@ class CollocationGrid:
 
     def integrate(self, samples) -> float:
         return float(self.quad_weights @ np.asarray(samples, dtype=float))
+
+
+@functools.lru_cache(maxsize=_GRIDS_KEPT)
+def _shared_grid(n: int) -> CollocationGrid:
+    """The solvers' one grid of size n, cardinal matrices included."""
+    return CollocationGrid(n)
 
 
 def _clenshaw_curtis_weights(n: int) -> np.ndarray:
@@ -133,19 +159,20 @@ def _branch_matrix(t: float, v: float, grid: CollocationGrid, a_max: int,
     n-1, which the interpolant reproduces; so with H the cardinal matrix at
     the halved nodes, branch a's cardinal matrix is L_a = L_0 H^a, and with
     G = 2^(v-t) H the sum is L_0 (I - G)^-1 (I - G^(A+1)), times the row
-    factor (1+x)^(-2t).  That costs two cardinal matrices, one linear solve
-    and about 2 log2(A) matrix products.  ``weighted`` also returns the
+    factor (1+x)^(-2t).  That costs one linear solve and about 2 log2(A)
+    matrix products; the two cardinal matrices, H and L_0, are the grid's own,
+    built once per grid.  ``weighted`` also returns the
     a-weighted sum M_a = L_0 G (I - G)^-2 (I - (A+1) G^A + A G^(A+1)), with
     the same row factor.
     """
     x, eye = grid.nodes, np.eye(grid.n)
-    g = 2.0 ** (v - t) * grid.lagrange_matrix(x / 2.0)
+    halving, branch0 = grid._cardinals
+    g = 2.0 ** (v - t) * halving
     g_top = np.linalg.matrix_power(g, a_max)
     g_end = g_top @ g
     rows = ((1.0 + x) ** (-2.0 * t))[:, None]
     # rows L_0 (I - G)^-1, as the transpose of one solve
-    head = rows * np.linalg.solve((eye - g).T,
-                                  grid.lagrange_matrix(1.0 / (1.0 + x)).T).T
+    head = rows * np.linalg.solve((eye - g).T, branch0.T).T
     m = head - head @ g_end
     if not weighted:
         return m
@@ -196,14 +223,13 @@ def dominant_eigen(matrix: np.ndarray, grid: CollocationGrid,
     grid quadrature and is strictly positive for parameters near (1, 0).
     """
     n = matrix.shape[0]
-    vec = np.ones(n)
-    vec /= np.linalg.norm(vec)
+    vec = np.full(n, 1.0 / math.sqrt(n))
     lam_prev = math.inf
     lam = math.nan
     for it in range(1, max_iter + 1):
         w = matrix @ vec
         lam = float(vec @ w) / float(vec @ vec)
-        nrm = np.linalg.norm(w)
+        nrm = math.sqrt(w @ w)     # np.linalg.norm(w), bit for bit
         if nrm == 0.0:
             raise ConvergenceError("operator annihilated the iterate")
         vec = w / nrm
@@ -230,11 +256,11 @@ def dominant_eigen(matrix: np.ndarray, grid: CollocationGrid,
 def solve_operator(t: float, v: float, n: int = 48,
                    tail_tol: float = 1e-14) -> SpectralResult:
     """Assemble the matrix at (t, v) and return its dominant eigenpair."""
-    grid = CollocationGrid(n)
-    matrix = build_matrix(t, v, grid, tail_tol)
-    return dominant_eigen(
-        matrix, grid, t=t, v=v, a_max=truncation_depth(t, v, tail_tol)
-    )
+    grid = _shared_grid(n)
+    _check_params(t, v)
+    a_max = truncation_depth(t, v, tail_tol)
+    return dominant_eigen(_branch_matrix(t, v, grid, a_max), grid,
+                          t=t, v=v, a_max=a_max)
 
 
 @dataclass
@@ -277,7 +303,7 @@ def taylor_estimates(n: int = 48, tail_tol: float = 1e-14) -> TaylorEstimates:
     dM/dt = -ln2 M_a - 2 ln(1+x) M.  With M phi = lambda phi this gives
     D = ln2 l^T M_a phi / l^T phi and A = D + 2 lambda l^T(ln(1+x) phi) / l^T phi.
     """
-    grid = CollocationGrid(n)
+    grid = _shared_grid(n)
     a_max = truncation_depth(1.0, 0.0, tail_tol)
     m, m_a = _branch_matrix(1.0, 0.0, grid, a_max, weighted=True)
     right = dominant_eigen(m, grid, t=1.0, v=0.0, a_max=a_max)

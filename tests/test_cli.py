@@ -4,6 +4,7 @@ import pytest
 
 from clgcd.cli import run
 from clgcd.errors import ConsistencyError
+from clgcd.spectral import solve_operator
 
 TRACE_31_75 = """\
 run on (31, 75), canonical convention
@@ -127,6 +128,16 @@ def test_eigen(capsys):
                           "--grid", "32", "--json", "--eigenfunction")
     d = json.loads(out)
     assert len(d["eigenfunction"]) == 32
+
+
+def test_eigen_text_names_the_tail_bound(capsys):
+    code, out, _ = invoke(capsys, "eigen", "--t", "1.1", "--v", "0.1",
+                          "--grid", "32", "--tail-tol", "1e-10")
+    assert code == 0
+    res = solve_operator(1.1, 0.1, n=32, tail_tol=1e-10)
+    assert out.splitlines()[1] == (
+        f"grid = 32, branches = {res.a_max}, tail_tol = 1e-10, "
+        f"iterations = {res.iterations}")
 
 
 def test_eigen_outside_box(capsys):

@@ -8,11 +8,13 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.special import roots_legendre
 
 from clgcd import dynamics
 from clgcd.algorithm import _exponent_run, cl_run, continuants
 from clgcd.dyadic import dyadic_valuation
 from clgcd.dynamics import (
+    _gauss_legendre,
     birkhoff_estimates,
     branch_of,
     orbit,
@@ -163,6 +165,29 @@ def test_transfer_domain_errors():
 def test_quadrature():
     assert quad_gl(lambda x: x ** 3, 0.0, 1.0) == pytest.approx(0.25, abs=1e-15)
     assert quad_gl(np.cos, 0.0, 1.0) == pytest.approx(math.sin(1.0), abs=1e-14)
+
+
+def test_quadrature_rule_is_shared_read_only_and_bounded():
+    for order in range(1, 13):
+        nodes, weights = roots_legendre(order)
+        edges = np.linspace(0.0, 1.0, 65)
+        total = 0.0
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            half = (hi - lo) / 2.0
+            mid = (lo + hi) / 2.0
+            total += half * float(weights @ psi(mid + half * nodes))
+        assert quad_gl(psi, 0.0, 1.0, order=order) == total
+        for array in _gauss_legendre(order):
+            with pytest.raises(ValueError):
+                array[0] = 0.5
+    info = _gauss_legendre.cache_info()
+    assert info.currsize == info.maxsize
+
+
+def test_transfer_default_grid_matches_a_fresh_grid():
+    out = transfer_apply(psi, 1.0, 0.0)
+    assert out.tobytes() == transfer_apply(
+        psi, 1.0, 0.0, grid=CollocationGrid(64)).tobytes()
 
 
 def test_birkhoff_deterministic_across_threads():

@@ -11,9 +11,11 @@ from clgcd.constants import m_table
 from clgcd.dynamics import psi, transfer_apply
 from clgcd.errors import ConvergenceError, DomainError
 from clgcd.spectral import (
+    _GRIDS_KEPT,
     CollocationGrid,
     _branch_matrix,
     _clenshaw_curtis_weights,
+    _shared_grid,
     build_matrix,
     dominant_eigen,
     solve_operator,
@@ -174,6 +176,84 @@ def test_power_iteration_failure_modes():
     with pytest.raises(ConvergenceError) as exc_info:
         dominant_eigen(np.array([[2.0, 1.0], [1.0, 2.0]]), grid, max_iter=1)
     assert exc_info.value.result is not None
+
+
+def _fresh_grid(n):
+    """A grid outside the cache, its cardinal matrices built here."""
+    grid = CollocationGrid(n)
+    assert grid is not _shared_grid(n)
+    grid._cardinals = (grid.lagrange_matrix(grid.nodes / 2.0),
+                       grid.lagrange_matrix(1.0 / (1.0 + grid.nodes)))
+    return grid
+
+
+@pytest.mark.parametrize("n", [16, 32, 64])
+@pytest.mark.parametrize("t,v", [(1.0, 0.0), (0.7, -0.3), (1.3, 0.35)])
+def test_solve_on_the_shared_grid_matches_a_fresh_grid(t, v, n):
+    grid = _fresh_grid(n)
+    a_max = truncation_depth(t, v, 1e-14)
+    ref = dominant_eigen(build_matrix(t, v, grid), grid, t=t, v=v, a_max=a_max)
+    for _ in range(2):      # the second solve reuses the shared grid's work
+        res = solve_operator(t, v, n=n)
+        assert res.eigenvalue == ref.eigenvalue
+        assert res.eigenfunction.tobytes() == ref.eigenfunction.tobytes()
+        assert res.residual == ref.residual
+        assert res.iterations == ref.iterations
+        assert res.a_max == ref.a_max == a_max
+    shared = _shared_grid(n)
+    for name in ("nodes", "bary_weights", "quad_weights"):
+        assert getattr(shared, name).tobytes() == getattr(grid, name).tobytes()
+    for mine, theirs in zip(shared._cardinals, grid._cardinals):
+        assert mine.tobytes() == theirs.tobytes()
+
+
+def _norm_power_iteration(matrix, tol=1e-12):
+    """Reference power iteration, normalising with np.linalg.norm."""
+    vec = np.ones(matrix.shape[0])
+    vec /= np.linalg.norm(vec)
+    lam_prev = math.inf
+    for it in range(1, 10_001):
+        w = matrix @ vec
+        lam = float(vec @ w) / float(vec @ vec)
+        vec = w / np.linalg.norm(w)
+        if abs(lam - lam_prev) < tol:
+            return lam, vec, it
+        lam_prev = lam
+    raise AssertionError("reference loop did not converge")
+
+
+def test_power_iteration_matches_the_norm_loop():
+    rng = np.random.default_rng(5)
+    for n in (16, 33, 64):
+        grid = CollocationGrid(n)
+        m = build_matrix(1.2, -0.1, grid)
+        for matrix in (m, m.T, rng.random((n, n)) + np.eye(n)):
+            res = dominant_eigen(matrix, grid)
+            lam, vec, it = _norm_power_iteration(matrix)
+            if vec.sum() < 0:
+                vec = -vec
+            assert res.eigenvalue == lam
+            assert res.iterations == it
+            assert res.eigenfunction.tobytes() == (
+                vec / grid.integrate(vec)).tobytes()
+
+
+def test_shared_grid_work_is_read_only():
+    grid = _shared_grid(24)
+    solve_operator(1.0, 0.0, n=24)
+    assert "_cardinals" in vars(grid)     # the solve built them on this grid
+    for array in (grid.nodes, grid.bary_weights, grid.quad_weights,
+                  *grid._cardinals):
+        with pytest.raises(ValueError):
+            array[0] = 0.5
+
+
+def test_shared_grid_cache_stays_bounded():
+    for n in range(4, 4 + 3 * _GRIDS_KEPT):
+        assert solve_operator(1.0, 0.0, n=n).grid_size == n
+    info = _shared_grid.cache_info()
+    assert info.maxsize == _GRIDS_KEPT
+    assert info.currsize == _GRIDS_KEPT
 
 
 def test_taylor_slopes_match_closed_forms():
