@@ -4,7 +4,8 @@ experiments, and the conjecture test.
 Every subcommand prints aligned text by default and JSON under ``--json``.
 Output is a pure function of argv (and the seed flags, which default to
 DEFAULT_SEED), so identical invocations are byte-identical.  Exit codes:
-0 success, 1 domain error, 2 usage error, 3 failed hard assertion.
+0 success, 1 domain error, 2 usage error, 3 failed hard assertion, 141
+(128 + SIGPIPE, silent) when stdout's reader has gone, as under ``| head``.
 """
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 
@@ -205,7 +207,8 @@ def _cmd_taylor(args) -> str:
 # ----------------------------------------------------------- experiment
 
 def _mean_text(rep) -> str:
-    head = (f"mean costs over Omega_N: N = {rep.spec.N}, {rep.spec.mode}, "
+    mode = rep.spec.mode + ("" if rep.spec.coprime_only else ", all pairs")
+    head = (f"mean costs over Omega_N: N = {rep.spec.N}, {mode}, "
             f"{rep.samples} pairs, seed = {rep.spec.seed}, {rep.convention}")
     rows = [["cost", "mean", "stderr", "ratio_to_K", "theory", "deviation"]]
     dev = rep.deviations()
@@ -281,8 +284,7 @@ def _cmd_worstcase(args) -> str:
         _write_csv(args.out, rep.to_csv_rows())
     if args.json:
         return _json_out(rep.to_json_dict())
-    rows = [["n", "K_greedy", "S_greedy", "K_canonical", "S_canonical"]]
-    rows.extend([str(x) for x in row] for row in rep.rows)
+    rows = [[str(x) for x in row] for row in rep.to_csv_rows()]
     lines = [f"worst-case family (1, 2^n - 1), n = 2..{rep.n_max}", _table(rows)]
     for conv in ("greedy", "canonical"):
         fit = rep.fits[conv]
@@ -419,7 +421,12 @@ def run(argv=None) -> int:
     except (ConsistencyError, ConvergenceError) as exc:
         print(f"assertion failed: {exc}", file=sys.stderr)
         return 3
-    print(output)
+    try:
+        print(output, flush=True)
+    except BrokenPipeError:
+        # the exit flush would raise again: send what is left to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     return 0
 
 

@@ -39,7 +39,7 @@ from .algorithm import _leading_word_run
 from .constants import LN2, LOG43
 from .dyadic import dyadic_valuation
 from .errors import ConsistencyError, DomainError
-from .parallel import chunk_counts, derive_seed, map_chunks, moments
+from .parallel import chunk_counts, derive_seed, map_chunks, merge, moments
 from .spectral import (CollocationGrid, _branch_matrix, _shared_grid,
                        truncation_depth)
 
@@ -206,23 +206,18 @@ def _birkhoff_group(args):
     parts = []
     for _, count in chunks:
         sums = [0.0] * 4
-        sumsq = [0.0] * 4
+        squares = [0.0] * 4
         for (_, q), k, s, terminal in islice(orbits, count):
             vt = dyadic_valuation(terminal)
             if terminal != (1 << vt):
                 raise ConsistencyError("coprime input left an odd factor")
             # terminal modulus times continuant gcd is 2^S, so val(g) = S - vt
             vg = s - vt
-            vals = (
-                s / k,
-                2.0 * math.log(q) / k,
-                2.0 * vg * LN2 / k,
-                vt / k,
-            )
-            for j, val in enumerate(vals):
-                sums[j] += val
-                sumsq[j] += val * val
-        parts.append((count, sums, sumsq))
+            row = (s / k, 2.0 * math.log(q) / k, 2.0 * vg * LN2 / k, vt / k)
+            for j, x in enumerate(row):
+                sums[j] += x
+                squares[j] += x * x
+        parts.append((count, sums, squares))
     return parts
 
 
@@ -243,14 +238,11 @@ def birkhoff_estimates(bits: int, samples: int, seed: int,
     chunks = list(chunk_counts(samples, _BIRKHOFF_CHUNK))
     groups = [(bits, seed, "birkhoff", chunks[i:i + _BIRKHOFF_GROUP])
               for i in range(0, len(chunks), _BIRKHOFF_GROUP)]
-    parts = [part for group in map_chunks(_birkhoff_group, groups, threads)
-             for part in group]
-    n = sum(p[0] for p in parts)
-    means, ses = zip(*(
-        moments(n, math.fsum(p[1][j] for p in parts),
-                math.fsum(p[2][j] for p in parts), 1.0)
-        for j in range(4)
-    ))
+    n, sums, squares = merge(
+        part for group in map_chunks(_birkhoff_group, groups, threads)
+        for part in group)
+    means, ses = zip(*(moments(n, total, total_sq, 1.0)
+                       for total, total_sq in zip(sums, squares)))
     keys = ("shift_rate", "entropy", "e2", "valuation_rate")
     return BirkhoffReport(
         samples=n,

@@ -50,9 +50,14 @@ from .constants import LN2, ConstantsTable, m_table
 from .dyadic import dyadic_valuation
 from .dynamics import BirkhoffReport, birkhoff_estimates
 from .errors import ConsistencyError, DomainError
-from .parallel import chunk_counts, derive_seed, map_chunks, moments
+from .parallel import chunk_counts, derive_seed, map_chunks, merge, moments
 
-COST_KEYS = ("K", "S", "sigma", "q", "rho", "r", "q2")
+# A chunk part's columns are K, S, v(g), v(Q) (ints) and ln Q, ln R
+# (floats); each cost reads one column at one scale, sigma being S in nats.
+_COST_COLUMNS = {"K": (0, 1.0), "S": (1, 1.0), "sigma": (1, LN2),
+                 "q": (4, 2.0), "rho": (2, 2.0 * LN2), "r": (5, 2.0),
+                 "q2": (3, 2.0 * LN2)}
+COST_KEYS = tuple(_COST_COLUMNS)
 
 EXHAUSTIVE_LIMIT = 10_000
 
@@ -196,10 +201,8 @@ def _stats_scalar(pairs: list):
     # has power-of-two content g = 2^(v(d) + S - v(terminal)), R = q / d
     # and Q = R * g.  The continuant pair of the digits recomputes all of
     # it on every pair; any difference raises ConsistencyError.
-    # int accumulators stay exact; only log Q / log R need floats
-    n = 0
-    si = [0] * 8                    # K, K^2, S, S^2, vg, vg^2, vq, vq^2
-    sf = [0.0] * 4                  # lnQ, lnQ^2, lnR, lnR^2
+    sums = [0, 0, 0, 0, 0.0, 0.0]
+    squares = [0, 0, 0, 0, 0.0, 0.0]
     for p, q in pairs:
         exps, terminal = _exponent_run(p, q, canonical=True)
         k = len(exps)
@@ -221,22 +224,11 @@ def _stats_scalar(pairs: list):
                 or abs(cp.matrix.det()) != 1 << s):
             raise ConsistencyError(
                 f"run and continuant pair disagree on ({p},{q}): {exps}")
-        ln_q = math.log(big_q)
-        ln_r = math.log(r)
-        n += 1
-        si[0] += k
-        si[1] += k * k
-        si[2] += s
-        si[3] += s * s
-        si[4] += g_exp
-        si[5] += g_exp * g_exp
-        si[6] += q_exp
-        si[7] += q_exp * q_exp
-        sf[0] += ln_q
-        sf[1] += ln_q * ln_q
-        sf[2] += ln_r
-        sf[3] += ln_r * ln_r
-    return n, si, sf
+        row = (k, s, g_exp, q_exp, math.log(big_q), math.log(r))
+        for j, x in enumerate(row):
+            sums[j] += x
+            squares[j] += x * x
+    return len(pairs), sums, squares
 
 
 def _lockstep_continuants(steps: list, n: int):
@@ -298,7 +290,6 @@ def _stats_batch(pairs: list):
     if bad.any():
         raise ConsistencyError(
             f"run and continuant pair disagree on {pairs[int(np.argmax(bad))]}")
-    si = [int(v.sum()) for c in (k, s, g_exp, q_exp) for v in (c, c * c)]
     # the logs stay math.log of the exact integers, summed in pair order
     log = math.log
     ln_q = ln_q2 = ln_r = ln_r2 = 0.0
@@ -309,7 +300,9 @@ def _stats_batch(pairs: list):
         ln_q2 += lq * lq
         ln_r += lr
         ln_r2 += lr * lr
-    return len(pairs), si, [ln_q, ln_q2, ln_r, ln_r2]
+    ints = (k, s, g_exp, q_exp)     # as Python ints, so merge adds exactly
+    return (len(pairs), [int(c.sum()) for c in ints] + [ln_q, ln_r],
+            [int((c * c).sum()) for c in ints] + [ln_q2, ln_r2])
 
 
 def theory_means(n: int, table: Optional[ConstantsTable] = None) -> dict:
@@ -354,6 +347,7 @@ class ExperimentReport:
         return {
             "N": self.spec.N,
             "mode": self.spec.mode,
+            "coprime_only": self.spec.coprime_only,
             "seed": self.spec.seed,
             "convention": self.convention,
             "samples": self.samples,
@@ -375,26 +369,14 @@ def mean_costs(spec: OmegaSpec, threads: int = 1) -> ExperimentReport:
     kernel, others pair by pair; the result does not depend on which.
     Deterministic in ``spec.seed`` for any thread count.
     """
-    parts = map_chunks(_stats_chunk, _chunk_tasks(spec), threads)
-    n = sum(part[0] for part in parts)
+    n, sums, squares = merge(
+        map_chunks(_stats_chunk, _chunk_tasks(spec), threads))
     if n < 2:
         raise DomainError(f"ensemble too small: {n} pairs")
-    si = [sum(part[1][j] for part in parts) for j in range(8)]
-    sf = [math.fsum(part[2][j] for part in parts) for j in range(4)]
-
     means = {}
     stderrs = {}
-    pairs = [
-        ("K", si[0], si[1], 1.0),
-        ("S", si[2], si[3], 1.0),
-        ("sigma", si[2], si[3], LN2),
-        ("q", sf[0], sf[1], 2.0),
-        ("rho", si[4], si[5], 2.0 * LN2),
-        ("r", sf[2], sf[3], 2.0),
-        ("q2", si[6], si[7], 2.0 * LN2),
-    ]
-    for key, total, total_sq, scale in pairs:
-        means[key], stderrs[key] = moments(n, total, total_sq, scale)
+    for key, (col, scale) in _COST_COLUMNS.items():
+        means[key], stderrs[key] = moments(n, sums[col], squares[col], scale)
     ratios = {key: means[key] / means["K"] for key in COST_KEYS}
     return ExperimentReport(
         spec=spec,

@@ -4,8 +4,10 @@ Work is split into fixed-size chunks whose random substreams are derived from
 (seed, label, chunk index) via SHA-256, and partial results are merged in
 chunk order.  The outcome is therefore a function of the seed alone: bitwise
 identical for any worker count, including the sequential path.
-``chunk_counts`` cuts a sample count into such chunks, and ``moments`` turns
-the merged sums into a mean and its standard error.
+``chunk_counts`` cuts a sample count into such chunks.  Each chunk returns
+one part ``(n, sums, squares)``, a sum and a sum of squares per column,
+which ``merge`` adds up; ``moments`` turns a merged column into a mean
+and its standard error.
 """
 from __future__ import annotations
 
@@ -26,6 +28,19 @@ def chunk_counts(total: int, size: int):
     """Yield (index, count) for ``total`` items cut into chunks of ``size``."""
     for index, start in enumerate(range(0, total, size)):
         yield index, min(size, total - start)
+
+
+def merge(parts) -> tuple[int, list, list]:
+    """Add chunk parts ``(n, sums, squares)`` column by column.
+
+    A column of Python ints adds exactly; any other goes through
+    ``math.fsum``, rounded once, so neither depends on the part order.
+    """
+    counts, part_sums, part_squares = zip(*parts)
+    sums, squares = (
+        [sum(col) if all(type(x) is int for x in col) else math.fsum(col)
+         for col in zip(*rows)] for rows in (part_sums, part_squares))
+    return sum(counts), sums, squares
 
 
 def moments(n: int, total, total_sq, scale: float) -> tuple[float, float]:

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -186,6 +189,16 @@ def test_experiment_json(capsys):
     assert set(d["means"]) == {"K", "S", "sigma", "q", "rho", "r", "q2"}
 
 
+def test_experiment_names_an_all_pairs_run(capsys):
+    args = ("experiment", "--nmax", "20", "--exhaustive")
+    for extra, coprime in (((), True), (("--all-pairs",), False)):
+        _, text, _ = invoke(capsys, *args, *extra)
+        head = text.splitlines()[0]
+        assert ("exhaustive, all pairs," in head) is not coprime
+        _, out, _ = invoke(capsys, *args, *extra, "--json")
+        assert json.loads(out)["coprime_only"] is coprime
+
+
 def test_experiment_byte_identical(capsys):
     args = ("experiment", "--nmax", "2000", "--samples", "400")
     _, first, _ = invoke(capsys, *args)
@@ -265,3 +278,19 @@ def test_assertion_failure_exits_3(capsys, monkeypatch):
     code, _, err = invoke(capsys, "trace", "31", "75")
     assert code == 3
     assert err.startswith("assertion failed:")
+
+
+def test_closed_stdout_exits_141_quietly():
+    # the reader of the pipe is gone before the child writes a byte
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "clgcd", "experiment", "--nmax", "20",
+             "--exhaustive"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == b""

@@ -131,8 +131,11 @@ def _check_against_straight_loop(spec):
 
 def _assert_batch_matches_scalar(pairs):
     batch = experiments._stats_batch(pairs)
-    assert batch == experiments._stats_scalar(pairs)
-    assert all(type(v) is int for v in batch[1])
+    scalar = experiments._stats_scalar(pairs)
+    assert batch == scalar
+    # columns 0-3 (K, S, v(g), v(Q)) reach merge as Python ints
+    for part in (batch, scalar):
+        assert all(type(v) is int for v in part[1][:4] + part[2][:4])
 
 
 def test_batch_path_matches_scalar_path():

@@ -8,7 +8,7 @@ from functools import partial
 import pytest
 
 from clgcd import parallel
-from clgcd.parallel import chunk_counts, map_chunks, moments
+from clgcd.parallel import chunk_counts, map_chunks, merge, moments
 
 
 @pytest.mark.parametrize("total, size, expect", [
@@ -18,6 +18,23 @@ from clgcd.parallel import chunk_counts, map_chunks, moments
 ])
 def test_chunk_counts(total, size, expect):
     assert list(chunk_counts(total, size)) == expect
+
+
+def test_merge_keeps_integer_columns_exact():
+    # a float sum would round 2^60 + 2 to 2^60
+    n, sums, squares = merge([(3, [(1 << 60) + 1], [7]), (2, [1], [1 << 61])])
+    assert n == 5
+    assert sums == [(1 << 60) + 2] and type(sums[0]) is int
+    assert squares == [(1 << 61) + 7]
+
+
+def test_merge_rounds_float_columns_once():
+    # left to right, 1e16 + 1.0 rounds the 1.0 away and the sum reads 0.0
+    parts = [(1, [1e16], [0.5]), (1, [1.0], [0.25]), (1, [-1e16], [0.25])]
+    n, sums, squares = merge(parts)
+    assert n == 3
+    assert sums == [math.fsum([1e16, 1.0, -1e16])] == [1.0]
+    assert squares == [1.0]
 
 
 def test_moments_match_statistics():
