@@ -176,7 +176,11 @@ def _cmd_constants(args) -> str:
 def _cmd_eigen(args) -> str:
     res = solve_operator(args.t, args.v, n=args.grid, tail_tol=args.tail_tol)
     if args.json:
-        return _json_out(res.to_json_dict(include_eigenfunction=args.eigenfunction))
+        out = res.to_json_dict()
+        out["tail_tol"] = args.tail_tol
+        if args.eigenfunction:
+            out["eigenfunction"] = res.eigenfunction.tolist()
+        return _json_out(out)
     return "\n".join([
         f"lambda({args.t:g}, {args.v:g}) = {res.eigenvalue:.12f}",
         f"grid = {res.grid_size}, branches = {res.a_max}, "
@@ -245,6 +249,9 @@ def _cmd_experiment(args) -> str:
     if args.slope:
         if args.exhaustive:
             raise DomainError("the slope ladder samples; drop --exhaustive")
+        if args.all_pairs:
+            raise DomainError("the slope ladder draws coprime pairs only; "
+                              "drop --all-pairs")
         rep = slope_estimate(args.nmax, args.samples, seed=args.seed,
                              threads=args.threads)
         if args.out:

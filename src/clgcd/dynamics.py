@@ -127,7 +127,7 @@ def transfer_apply(f, t: float, v: float, tail_tol: float = 1e-10,
     if samples.shape != (grid.n,):
         raise DomainError(f"expected {grid.n} samples, got {samples.shape}")
     a_max = truncation_depth(t, v, tail_tol, float(np.max(np.abs(samples))))
-    return _branch_matrix(t, v, grid, a_max) @ samples
+    return _branch_matrix(t, v, grid, a_max).dot(samples)
 
 
 @functools.lru_cache(maxsize=4)

@@ -22,7 +22,11 @@ products, whatever the truncation depth A.  Its two cardinal matrices, at x/2
 and at 1/(1+x), depend on the nodes alone: a grid builds them once, on first
 use, and the solvers share one grid per size n from a small bounded cache, so
 every solve at that size reuses them.  Everything a grid holds is read-only,
-and everything is deterministic.
+and everything is deterministic.  Products go through the bound
+``ndarray.dot``, not ``@`` or ``np.linalg.matrix_power``: at n <= 64 the
+``matmul`` gufunc's per-call dispatch costs about as much as the product,
+while ``dot`` reaches the same BLAS routines, bit for bit (the tests compare
+the two byte for byte).
 """
 from __future__ import annotations
 
@@ -102,16 +106,41 @@ class CollocationGrid:
         samples = np.asarray(samples, dtype=float)
         if samples.shape != (self.n,):
             raise DomainError(f"expected {self.n} samples, got {samples.shape}")
-        return self.lagrange_matrix(pts) @ samples
+        return self.lagrange_matrix(pts).dot(samples)
 
     def integrate(self, samples) -> float:
-        return float(self.quad_weights @ np.asarray(samples, dtype=float))
+        return float(self.quad_weights.dot(np.asarray(samples, dtype=float)))
 
 
 @functools.lru_cache(maxsize=_GRIDS_KEPT)
 def _shared_grid(n: int) -> CollocationGrid:
     """The solvers' one grid of size n, cardinal matrices included."""
     return CollocationGrid(n)
+
+
+@functools.lru_cache(maxsize=_GRIDS_KEPT)
+def _identity(n: int) -> np.ndarray:
+    """The read-only n x n identity, one per size."""
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
+
+
+def _matrix_power(a: np.ndarray, k: int) -> np.ndarray:
+    """a^k for k >= 0 by ``np.linalg.matrix_power``'s products, in its
+    order (its k = 3 shortcut included), so bit for bit the same; k = 0
+    gives the shared read-only identity and k = 1 gives ``a`` itself."""
+    if k == 0:
+        return _identity(a.shape[0])
+    if k == 3:
+        return a.dot(a).dot(a)
+    z = result = None
+    while k > 0:
+        z = a if z is None else z.dot(z)
+        k, bit = divmod(k, 2)
+        if bit:
+            result = z if result is None else result.dot(z)
+    return result
 
 
 def _clenshaw_curtis_weights(n: int) -> np.ndarray:
@@ -165,19 +194,19 @@ def _branch_matrix(t: float, v: float, grid: CollocationGrid, a_max: int,
     a-weighted sum M_a = L_0 G (I - G)^-2 (I - (A+1) G^A + A G^(A+1)), with
     the same row factor.
     """
-    x, eye = grid.nodes, np.eye(grid.n)
+    x, eye = grid.nodes, _identity(grid.n)
     halving, branch0 = grid._cardinals
     g = 2.0 ** (v - t) * halving
-    g_top = np.linalg.matrix_power(g, a_max)
-    g_end = g_top @ g
+    g_top = _matrix_power(g, a_max)
+    g_end = g_top.dot(g)
     rows = ((1.0 + x) ** (-2.0 * t))[:, None]
     # rows L_0 (I - G)^-1, as the transpose of one solve
     head = rows * np.linalg.solve((eye - g).T, branch0.T).T
-    m = head - head @ g_end
+    m = head - head.dot(g_end)
     if not weighted:
         return m
     head = np.linalg.solve((eye - g).T, head.T).T
-    return m, head @ g @ (eye - (a_max + 1) * g_top + a_max * g_end)
+    return m, head.dot(g).dot(eye - (a_max + 1) * g_top + a_max * g_end)
 
 
 def build_matrix(t: float, v: float, grid: CollocationGrid,
@@ -223,13 +252,14 @@ def dominant_eigen(matrix: np.ndarray, grid: CollocationGrid,
     grid quadrature and is strictly positive for parameters near (1, 0).
     """
     n = matrix.shape[0]
-    vec = np.full(n, 1.0 / math.sqrt(n))
+    apply, sqrt = matrix.dot, math.sqrt
+    vec = np.full(n, 1.0 / sqrt(n))
     lam_prev = math.inf
     lam = math.nan
     for it in range(1, max_iter + 1):
-        w = matrix @ vec
-        lam = float(vec @ w) / float(vec @ vec)
-        nrm = math.sqrt(w @ w)     # np.linalg.norm(w), bit for bit
+        w = apply(vec)
+        lam = float(vec.dot(w)) / float(vec.dot(vec))
+        nrm = sqrt(w.dot(w))       # np.linalg.norm(w), bit for bit
         if nrm == 0.0:
             raise ConvergenceError("operator annihilated the iterate")
         vec = w / nrm
@@ -245,7 +275,7 @@ def dominant_eigen(matrix: np.ndarray, grid: CollocationGrid,
         vec = -vec
     mass = grid.integrate(vec)
     phi = vec / mass
-    residual = float(np.max(np.abs(matrix @ phi - lam * phi)))
+    residual = float(np.max(np.abs(apply(phi) - lam * phi)))
     return SpectralResult(
         t=t, v=v, grid_size=n, a_max=a_max,
         eigenvalue=lam, eigenfunction=phi,
@@ -309,10 +339,10 @@ def taylor_estimates(n: int = 48, tail_tol: float = 1e-14) -> TaylorEstimates:
     right = dominant_eigen(m, grid, t=1.0, v=0.0, a_max=a_max)
     left = dominant_eigen(m.T, grid, t=1.0, v=0.0, a_max=a_max)
     phi, ell = right.eigenfunction, left.eigenfunction
-    norm = float(ell @ phi)
-    shift = LN2 * float(ell @ (m_a @ phi)) / norm
+    norm = float(ell.dot(phi))
+    shift = LN2 * float(ell.dot(m_a.dot(phi))) / norm
     entropy = shift + 2.0 * right.eigenvalue * float(
-        ell @ (np.log1p(grid.nodes) * phi)) / norm
+        ell.dot(np.log1p(grid.nodes) * phi)) / norm
     return TaylorEstimates(
         entropy_slope=entropy,
         shift_slope=shift,

@@ -143,6 +143,19 @@ def test_eigen_text_names_the_tail_bound(capsys):
         f"iterations = {res.iterations}")
 
 
+def test_eigen_json_names_the_tail_bound(capsys):
+    code, out, _ = invoke(capsys, "eigen", "--t", "1.1", "--v", "0.1",
+                          "--grid", "32", "--tail-tol", "1e-10", "--json")
+    assert code == 0
+    d = json.loads(out)
+    res = solve_operator(1.1, 0.1, n=32, tail_tol=1e-10)
+    assert d["tail_tol"] == 1e-10
+    assert d["a_max"] == res.a_max
+    assert d["iterations"] == res.iterations
+    assert d["residual"] == res.residual
+    assert "eigenfunction" not in d
+
+
 def test_eigen_outside_box(capsys):
     code, _, err = invoke(capsys, "eigen", "--t", "0.5", "--v", "0")
     assert code == 1
@@ -211,6 +224,14 @@ def test_experiment_slope_rejects_exhaustive(capsys):
                           "--slope", "--exhaustive")
     assert code == 1
     assert "slope ladder" in err
+
+
+def test_experiment_slope_rejects_all_pairs(capsys):
+    code, out, err = invoke(capsys, "experiment", "--nmax", "65536",
+                            "--samples", "200", "--slope", "--all-pairs")
+    assert code == 1
+    assert out == ""
+    assert "slope ladder" in err and "--all-pairs" in err
 
 
 def test_dirichlet_output(capsys):

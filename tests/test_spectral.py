@@ -7,14 +7,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from clgcd.constants import m_table
+from clgcd.constants import LN2, m_table
 from clgcd.dynamics import psi, transfer_apply
 from clgcd.errors import ConvergenceError, DomainError
 from clgcd.spectral import (
     _GRIDS_KEPT,
     CollocationGrid,
+    TaylorEstimates,
     _branch_matrix,
     _clenshaw_curtis_weights,
+    _matrix_power,
     _shared_grid,
     build_matrix,
     dominant_eigen,
@@ -128,6 +130,42 @@ def test_transfer_with_a_thousand_branches_matches_the_loop(n):
     out = transfer_apply(np.ones(n), t, v, tail_tol=1e-14, grid=grid)
     loop = _looped_branch_sums(t, v, grid, a_max)[0] @ np.ones(n)
     assert np.max(np.abs(out - loop)) < 1e-13
+
+
+@pytest.mark.parametrize("n", [16, 32, 64])
+def test_matrix_power_matches_numpy_bit_for_bit(n):
+    halving = _shared_grid(n)._cardinals[0]
+    for t, v in ((1.0, 0.0), (0.6, 0.34), (1.4, -0.4)):
+        g = 2.0 ** (v - t) * halving
+        for k in range(301):
+            ref = np.linalg.matrix_power(g, k)
+            assert _matrix_power(g, k).tobytes() == ref.tobytes(), (t, v, k)
+
+
+def _reference_branch_matrix(t, v, grid, a_max):
+    """Both closed-form branch sums with ``@`` and ``matrix_power``."""
+    eye = np.eye(grid.n)
+    halving, branch0 = grid._cardinals
+    g = 2.0 ** (v - t) * halving
+    g_top = np.linalg.matrix_power(g, a_max)
+    g_end = g_top @ g
+    rows = ((1.0 + grid.nodes) ** (-2.0 * t))[:, None]
+    head = rows * np.linalg.solve((eye - g).T, branch0.T).T
+    m = head - head @ g_end
+    head = np.linalg.solve((eye - g).T, head.T).T
+    return m, head @ g @ (eye - (a_max + 1) * g_top + a_max * g_end)
+
+
+@pytest.mark.parametrize("n", [16, 48])
+@pytest.mark.parametrize("t,v", [(1.0, 0.0), (0.7, -0.3), (1.3, 0.35)])
+def test_branch_matrix_matches_the_matmul_reference(t, v, n):
+    grid = _shared_grid(n)
+    for a_max in (0, 1, 2, 3, 4, truncation_depth(t, v, 1e-14)):
+        ref_m, ref_m_a = _reference_branch_matrix(t, v, grid, a_max)
+        m, m_a = _branch_matrix(t, v, grid, a_max, weighted=True)
+        assert m.tobytes() == ref_m.tobytes(), a_max
+        assert m_a.tobytes() == ref_m_a.tobytes(), a_max
+        assert _branch_matrix(t, v, grid, a_max).tobytes() == ref_m.tobytes()
 
 
 def test_parameter_box():
@@ -268,6 +306,32 @@ def test_taylor_slopes_match_closed_forms():
     assert d["A_estimate"] == est.entropy_slope
     assert d["grid_size"] == 32
     assert d["residual"] == est.residual
+
+
+def _reference_eigenpair(matrix, grid):
+    """Eigenvalue, unit-integral eigenfunction, residual and iteration count
+    by the norm loop and ``@``."""
+    lam, vec, it = _norm_power_iteration(matrix)
+    if vec.sum() < 0:
+        vec = -vec
+    phi = vec / float(grid.quad_weights @ vec)
+    return lam, phi, float(np.max(np.abs(matrix @ phi - lam * phi))), it
+
+
+@pytest.mark.parametrize("n", [32, 48])
+def test_taylor_estimates_match_the_matmul_reference(n):
+    grid = _shared_grid(n)
+    a_max = truncation_depth(1.0, 0.0, 1e-14)
+    m, m_a = _reference_branch_matrix(1.0, 0.0, grid, a_max)
+    lam, phi, res_right, it_right = _reference_eigenpair(m, grid)
+    _, ell, res_left, it_left = _reference_eigenpair(m.T, grid)
+    norm = float(ell @ phi)
+    shift = LN2 * float(ell @ (m_a @ phi)) / norm
+    entropy = shift + 2.0 * lam * float(
+        ell @ (np.log1p(grid.nodes) * phi)) / norm
+    assert taylor_estimates(n=n) == TaylorEstimates(
+        entropy_slope=entropy, shift_slope=shift, grid_size=n, a_max=a_max,
+        residual=max(res_right, res_left), iterations=(it_right, it_left))
 
 
 def test_constants_demo_runs():
