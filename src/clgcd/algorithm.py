@@ -36,7 +36,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
 
 import numpy as np
 
@@ -52,6 +51,10 @@ from .errors import ConsistencyError, DomainError
 
 GREEDY = "greedy"
 CANONICAL = "canonical"
+
+# fill immutable instances (Trace, Fraction) without running their __init__
+_new = object.__new__
+_setattr = object.__setattr__
 
 
 def _check_pair(p, q, allow_equal=False):
@@ -183,13 +186,26 @@ def cl_run(p: int, q: int, convention: str = CANONICAL) -> Trace:
     """Run the algorithm on 0 < p < q and return the full trace.
 
     Inputs need not be coprime; the terminal pair is (0, 2^a_K q_K) whose odd
-    part equals the odd part of gcd(p, q).
+    part equals the odd part of gcd(p, q).  The digits' continuant pair
+    (P, Q), read by ``cf_eval`` and ``continuants``, is (p, q) / gcd(p, q)
+    times g = gcd(P, Q).  g divides the continuant matrix's determinant
+    +-2^S, so it is a power of two, and stripping the common power of two
+    from (P, Q) gives p/q in lowest terms with no further gcd.
+
+    The trace is built by filling its ``__dict__`` in one assignment rather
+    than through the frozen dataclass ``__init__``; it equals, hashes,
+    pickles and prints as ``Trace(p, q, convention, exponents, terminal)``.
     """
-    _check_pair(p, q)
+    if p.__class__ is not int or q.__class__ is not int or not 0 < p < q:
+        _check_pair(p, q)
     if convention not in (GREEDY, CANONICAL):
         raise DomainError(f"unknown convention {convention!r}")
     exps, terminal_m = _exponent_run(p, q, convention == CANONICAL)
-    return Trace(p, q, convention, tuple(exps), (0, terminal_m))
+    trace = _new(Trace)
+    _setattr(trace, "__dict__", {"p": p, "q": q, "convention": convention,
+                                 "exponents": tuple(exps),
+                                 "terminal": (0, terminal_m)})
+    return trace
 
 
 def _exponent_run(p: int, q: int, canonical: bool = True):
@@ -197,21 +213,24 @@ def _exponent_run(p: int, q: int, canonical: bool = True):
 
     ``cl_run`` wraps it; the bulk experiments call it directly.  When the
     canonical flag is set, the zero-remainder step with maximal shift a is
-    taken with shift a-1 instead, which forces one more step with shift 0.
+    taken with shift a-1 instead, which forces one more step with shift 0:
+    the run ends on the digits (a-1, 0) and the terminal modulus 2^(a-1) u.
     """
     exps = []
     append = exps.append
     u, w = p, q
     while True:
         a = (w // u).bit_length() - 1
-        r = w - (u << a)
-        if canonical and r == 0 and a >= 1:
-            a -= 1
-            r = u << a
-        append(a)
+        shifted = u << a
+        r = w - shifted
         if r == 0:
-            return exps, u << a
-        u, w = r, u << a
+            if canonical and a >= 1:
+                exps += (a - 1, 0)
+                return exps, shifted >> 1
+            append(a)
+            return exps, shifted
+        append(a)
+        u, w = r, shifted
 
 
 # The int64 lockstep serves every pair below 2^62, and the leading-word
@@ -408,22 +427,49 @@ def cf_eval(exponents) -> Fraction:
 
     Evaluated through the integer continuant recurrence rather than nested
     Fraction division; the result is identical (a property test compares the
-    two) and this form is what bulk verification uses.
+    two) and this form is what bulk verification uses.  The loop checks
+    each digit as it reads it.  The recurrence ends on the continuant pair
+    (P, Q), the second column of M_{a_1} ... M_{a_K}.  gcd(P, Q) divides
+    that matrix's determinant, +-2^S, so it is the common power of two of
+    P and Q; stripping it leaves the pair in lowest terms, and the Fraction
+    is filled in directly, without a second gcd.
     """
-    exponents = tuple(exponents)
-    _check_exponents(exponents)
+    digits = _digit_tuple(exponents)
     x, y = 0, 1
-    for a in reversed(exponents):
+    for a in reversed(digits):
+        if a.__class__ is not int or a < 0:
+            return cf_eval(_int_digits(digits))
         x, y = y, (x + y) << a
-    return Fraction(x, y)
+    z = x | y
+    v = (z & -z).bit_length() - 1
+    value = _new(Fraction)
+    value._numerator = x >> v
+    value._denominator = y >> v
+    return value
 
 
-def _check_exponents(exponents):
-    if len(exponents) == 0:
+def _digit_tuple(exponents) -> tuple:
+    """The digits as a tuple (not copied if they already are one), nonempty.
+
+    The loops that read the digits check each one on the way
+    (``a.__class__ is int and a >= 0``) and hand anything else to
+    ``_int_digits``.
+    """
+    digits = exponents if exponents.__class__ is tuple else tuple(exponents)
+    if not digits:
         raise DomainError("empty exponent sequence")
-    for a in exponents:
+    return digits
+
+
+def _int_digits(digits: tuple) -> tuple:
+    """The digits as plain ints; DomainError names the first bad one.
+
+    An int subclass such as bool is a valid digit and becomes its int.
+    """
+    for a in digits:
         if not isinstance(a, int) or a < 0:
             raise DomainError(f"exponents must be integers >= 0, got {a!r}")
+    return tuple(map(int, digits))
 
 
 def is_canonical(exponents) -> bool:
@@ -446,16 +492,19 @@ class ContinuantPair:
 
 
 def continuants(exponents) -> ContinuantPair:
-    exponents = tuple(exponents)
-    _check_exponents(exponents)
+    digits = _digit_tuple(exponents)
     m00, m01, m10, m11 = 1, 0, 0, 1
-    for a in exponents:
+    for a in digits:
+        if a.__class__ is not int or a < 0:
+            return continuants(_int_digits(digits))
         # right-multiply by [[0,1],[2^a,2^a]]
         s0, s1 = m01 << a, m11 << a
         m00, m01 = s0, m00 + s0
         m10, m11 = s1, m10 + s1
     P, Q = m01, m11
-    g = gcd(P, Q)
+    # gcd(P, Q) divides the determinant +-2^S: the common power of two
+    z = P | Q
+    g = z & -z
     return ContinuantPair(P, Q, IntMatrix2(m00, m01, m10, m11), g, Q // g)
 
 
@@ -528,7 +577,7 @@ def cost_vector(exponents) -> CostVector:
 
     Any mismatch raises ConsistencyError.
     """
-    exponents = tuple(exponents)
+    exponents = _digit_tuple(exponents)
     cp = continuants(exponents)
     S = sum(exponents)
     m = cp.matrix

@@ -175,8 +175,13 @@ def check_worstcase_bounds(p: int, q: int, k: int, s: int) -> None:
 
     K <= 2 lg q + 2 is checked in exact integer form (q^2 >= 2^(K-2));
     the shift bound multiplies by lg q and is checked in floats with a
-    rounding guard.
+    rounding guard.  With b = q.bit_length(), q >= 2^(b-1) puts the step
+    bound at 2b or above and the shift bound at 2b(b-1) or above, so K <= 2b
+    and S <= 2b(b-1) return before any logarithm.
     """
+    b = q.bit_length()
+    if k <= 2 * b and s <= 2 * b * (b - 1):
+        return
     if k > 2 and q * q < (1 << (k - 2)):
         raise ConsistencyError(
             f"step bound violated: K={k} on (p,q)=({p},{q})"
@@ -264,7 +269,7 @@ def _stats_batch(pairs: list):
     # _stats_scalar on int64 arrays, all q < 2^62, same sums bit for bit.
     # The bounds are decided by check_worstcase_bounds on a prefilter that
     # keeps every violator: q >= 2^(b-1) makes a violation need K > 2b or
-    # S > 2b(b-1).  The costs come off the run by the scalar formulas, and
+    # S > 2b(b-1), the bound of that function's early return.  The costs come off the run by the scalar formulas, and
     # the continuant pair of the digits must give back P / g = p / d,
     # Q / g = R and g = 2^g_exp exactly; E is built without S, so the last
     # comparison pins S as the determinant check did.
@@ -272,7 +277,7 @@ def _stats_batch(pairs: list):
     p, q = flat.reshape(-1, 2).T.copy()
     k, s, terminal, steps = _lockstep_run(p, q)
     b = _bitlen(q)
-    for i in np.flatnonzero((k > 2 * b - 2) | (s > 2 * b * (b - 1) - 2 * b)):
+    for i in np.flatnonzero((k > 2 * b) | (s > 2 * b * (b - 1))):
         check_worstcase_bounds(*pairs[i], int(k[i]), int(s[i]))
     d = np.gcd(p, q)
     vd = _v2(d)

@@ -6,7 +6,7 @@ counts (the measured values sit in comments next to each gate, all of them
 3x-50x inside the stated ceilings).  Every random quantity is seeded and
 thread-count independent, so a rerun reproduces the quoted numbers bit for
 bit.  The slope fixture draws two sampled ensembles of 10^6 pairs, about
-10 s single-threaded on a 2-core box; the c01 oracle (about 18 s) is the
+10 s single-threaded on a 2-core box; the c01 oracle (about 12 s) is the
 long pole.
 """
 import math
@@ -60,7 +60,7 @@ def test_c01_correctness_oracle():
             checked += 1
     elapsed = time.monotonic() - t0
     assert checked == 1_216_587
-    assert elapsed < 60.0                      # measured ~15 s, 2 cores
+    assert elapsed < 60.0                      # measured ~12 s, 2 cores
     print(f"\nACCEPTANCE 1: PASS — {checked} coprime pairs <= 2000, "
           f"odd gcd 1 and exact re-evaluation, {elapsed:.1f} s")
 

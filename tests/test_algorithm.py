@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import pickle
 import random
 from fractions import Fraction
 from math import gcd
@@ -123,6 +124,20 @@ def test_run_rejects_bad_input():
         cl_run(5, 5)
     with pytest.raises(DomainError):
         cl_run(31, 75, "eager")
+    for bad in ((np.int64(3), 7), (3, np.int64(7)), (3.0, 7), (3, 7.0),
+                ("3", 7), (-3, 7), (0, 7), (7, 3)):
+        with pytest.raises(DomainError):
+            cl_run(*bad)
+
+
+def test_run_accepts_bools_and_int_subclasses():
+    class Int(int):
+        pass
+
+    assert cl_run(True, 3) == cl_run(1, 3)
+    assert cl_run(Int(31), Int(75)).exponents == (1, 2, 2, 1, 0, 0, 0)
+    with pytest.raises(DomainError):
+        cl_run(Int(5), Int(5))
 
 
 @given(pairs())
@@ -254,9 +269,32 @@ def test_eval_examples():
 
 
 def test_eval_rejects_bad_digits():
-    for bad in ((), (1, -1), (1.5,), ("2",)):
-        with pytest.raises(DomainError):
-            cf_eval(bad)
+    # every reader of a digit string, given a tuple, a list or a generator
+    for bad in ((), (1, -1), (1.5,), ("2",), (np.int64(2),), (1, None),
+                (2, np.int64(1), 0), (-3,)):
+        for reader in (cf_eval, continuants, cost_vector):
+            for arg in (bad, list(bad), iter(bad)):
+                with pytest.raises(DomainError):
+                    reader(arg)
+    # the loops run in opposite directions; the message names the first
+    # bad digit of the string either way
+    for reader in (cf_eval, continuants):
+        with pytest.raises(DomainError, match="got -1$"):
+            reader((1, -1, 2, -2))
+        with pytest.raises(DomainError, match="got 1.5$"):
+            reader((1.5, "x"))
+
+
+def test_digit_readers_take_lists_generators_and_bools():
+    digits = (1, 2, 2, 1, 0, 0, 0)
+    for reader in (cf_eval, continuants, cost_vector):
+        want = reader(digits)
+        assert reader(list(digits)) == want
+        assert reader(a for a in digits) == want
+        assert reader((True, 2, 2, True, False, 0, 0)) == want
+    value = cf_eval([True, False])
+    assert type(value.numerator) is int and type(value.denominator) is int
+    assert value == Fraction(1, 4)
 
 
 @given(digit_strings)
@@ -340,6 +378,114 @@ def test_cost_vector_agrees_with_continuants(digits):
     assert cost.q_exp - cost.g_exp == dyadic_valuation(cp.R)
     assert cost.q2 - cost.rho == pytest.approx(
         2 * LN2 * dyadic_valuation(cp.R), rel=1e-13, abs=1e-13)
+
+
+# ---------------------------------------- the trace path against references
+
+def _reference_exponent_run(p, q, canonical=True):
+    # the step kernel as first written: two shifts per step, and the
+    # canonical end taken as one more pass of the loop
+    exps = []
+    u, w = p, q
+    while True:
+        a = (w // u).bit_length() - 1
+        r = w - (u << a)
+        if canonical and r == 0 and a >= 1:
+            a -= 1
+            r = u << a
+        exps.append(a)
+        if r == 0:
+            return exps, u << a
+        u, w = r, u << a
+
+
+def _kernel_pairs():
+    rng = random.Random(11)
+    out = [(p, q) for q in range(2, 70) for p in range(1, q)]
+    # p | q, powers of two and common factors, small and past 2^62
+    out += [(p, p << a) for p in (1, 3, 5, 2 ** 61 - 1, 3 ** 50)
+            for a in (1, 2, 5, 63, 100)]
+    out += [(p, p * m) for p in (3, 7, 2 ** 40 + 1) for m in (3, 5, 9, 12)]
+    out += [(1 << i, 1 << j) for j in (1, 2, 10, 62, 64, 200)
+            for i in range(j)]
+    for bits in (10, 62, 63, 64, 300, 1000):
+        for _ in range(40):
+            q = rng.getrandbits(bits) | 2
+            d = rng.choice((1, 1, 3, 12, 2 ** 20 * 7))
+            out.append((d * rng.randrange(1, q), d * q))
+    return out
+
+
+def test_kernel_matches_the_reference_kernel():
+    for p, q in _kernel_pairs():
+        for canonical in (True, False):
+            assert _exponent_run(p, q, canonical) == \
+                _reference_exponent_run(p, q, canonical), (p, q, canonical)
+
+
+@given(pairs(max_q=10 ** 30), st.booleans())
+def test_kernel_matches_the_reference_kernel_on_random_pairs(pq, canonical):
+    assert _exponent_run(*pq, canonical) == _reference_exponent_run(*pq, canonical)
+
+
+@pytest.mark.parametrize("pair", [(31, 75), (6, 21), (1, 2), (3, 2 ** 70)])
+@pytest.mark.parametrize("convention", [GREEDY, CANONICAL])
+def test_cl_run_trace_equals_the_dataclass_trace(pair, convention):
+    fast = cl_run(*pair, convention)
+    exps, m = _exponent_run(*pair, convention == CANONICAL)
+    ref = Trace(*pair, convention, tuple(exps), (0, m))
+    assert type(fast) is Trace
+    assert fast == ref and not fast != ref
+    assert hash(fast) == hash(ref)
+    assert repr(fast) == repr(ref)
+    assert vars(fast) == vars(ref)
+    assert list(vars(fast)) == [f.name for f in dataclasses.fields(Trace)]
+    assert pickle.dumps(fast) == pickle.dumps(ref)
+    back = pickle.loads(pickle.dumps(fast))
+    assert back == ref and hash(back) == hash(ref)
+    moved = dataclasses.replace(fast, p=pair[0] + 1)
+    assert moved == dataclasses.replace(ref, p=pair[0] + 1)
+    assert moved.p == pair[0] + 1 and fast.p == pair[0]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        fast.q = 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del fast.p
+    first = fast.records
+    assert fast.records is first
+    assert first == ref.records
+    assert fast == ref       # the cached records take no part in equality
+
+
+def _reduced(digits):
+    x, y = 0, 1
+    for a in reversed(digits):
+        x, y = y, (x + y) << a
+    return Fraction(x, y)
+
+
+long_digit_strings = st.lists(
+    st.one_of(st.integers(min_value=0, max_value=3),
+              st.integers(min_value=0, max_value=200)),
+    min_size=1, max_size=400)
+
+
+@given(long_digit_strings)
+def test_eval_equals_the_normalised_fraction(digits):
+    for arg in (digits, tuple(digits)):
+        got, want = cf_eval(arg), _reduced(digits)
+        assert type(got) is Fraction
+        assert got == want
+        assert (got.numerator, got.denominator) == \
+            (want.numerator, want.denominator)
+        assert hash(got) == hash(want)
+        assert str(got) == str(want)
+
+
+def test_eval_large_digits():
+    for digits in ((10 ** 4,), (0,) * 3000, (5000, 0, 7, 0), (1,) * 2000):
+        got, want = cf_eval(digits), _reduced(digits)
+        assert (got.numerator, got.denominator, hash(got)) == \
+            (want.numerator, want.denominator, hash(want))
 
 
 # ------------------------------------------------ the leading-word kernel

@@ -312,6 +312,46 @@ def test_worstcase_bounds_reject_violations():
         check_worstcase_bounds(1, 4, 2, 100)
 
 
+def _full_bounds_check(p, q, k, s):
+    # check_worstcase_bounds without its integer early return
+    if k > 2 and q * q < (1 << (k - 2)):
+        raise ConsistencyError(f"step bound violated: K={k} on (p,q)=({p},{q})")
+    lg = math.log2(q)
+    if s > (2.0 * lg + 2.0) * lg + 1e-9:
+        raise ConsistencyError(f"shift bound violated: S={s} on (p,q)=({p},{q})")
+
+
+def _bounds_outcome(check, q, k, s):
+    try:
+        check(1, q, k, s)
+    except ConsistencyError as exc:
+        return str(exc)
+    return None
+
+
+def test_worstcase_early_return_skips_no_violation():
+    # q at both ends of each bit length; K and S at, just below and just
+    # above the early-return bounds (2b, 2b(b-1)) and the true bounds
+    raises = 0
+    for b in range(2, 71):
+        for q in (1 << (b - 1), (1 << b) - 1):
+            k_max = 2 + (q * q).bit_length() - 1
+            lg = math.log2(q)
+            s_max = math.floor((2.0 * lg + 2.0) * lg + 1e-9)
+            ks = {x + d for x in (2 * b, k_max) for d in (-1, 0, 1)}
+            ss = {x + d for x in (2 * b * (b - 1), s_max) for d in (-1, 0, 1)}
+            for k in ks:
+                for s in ss:
+                    want = _bounds_outcome(_full_bounds_check, q, k, s)
+                    assert _bounds_outcome(check_worstcase_bounds,
+                                           q, k, s) == want, (q, k, s)
+                    raises += want is not None
+    # the grid does reach the raising side of both bounds
+    assert raises > 0
+    assert _bounds_outcome(check_worstcase_bounds, 4, 2, 2 * 3 * 2 + 1)
+    assert _bounds_outcome(check_worstcase_bounds, 4, 7, 0)
+
+
 def test_totients():
     assert _totients(12)[1:] == [1, 1, 2, 2, 4, 2, 6, 4, 6, 4, 10, 4]
 
