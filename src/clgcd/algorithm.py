@@ -244,7 +244,9 @@ _bit_length = np.frompyfunc(int.bit_length, 1, 1)
 
 
 def _bitlen(x: np.ndarray) -> np.ndarray:
-    """int.bit_length of every entry of a positive int64 array."""
+    """int.bit_length of every entry of a positive int64 or object array."""
+    if x.dtype == object:           # a float would overflow above 2^1024
+        return _bit_length(x)
     b = np.frexp(x.astype(np.float64))[1].astype(np.int64)
     # above 2^53 the conversion can round up to the next power of two
     b -= (x >> (b - 1)) == 0
@@ -252,28 +254,16 @@ def _bitlen(x: np.ndarray) -> np.ndarray:
 
 
 def _v2(x: np.ndarray) -> np.ndarray:
-    """2-adic valuation of every entry of a positive int64 array."""
+    """2-adic valuation of every entry of a positive int64 or object array."""
     return _bitlen(x & -x) - 1
 
 
-def _lockstep_run(p: np.ndarray, q: np.ndarray):
+def _lockstep_passes(p, q, k, s, terminal):
     """``_exponent_run`` (canonical) on every pair at once, in int64.
 
-    Returns K, S and the terminal modulus per pair, and the digits as
-    one (indices of the live pairs, their digits) entry per pass.
-    """
-    n = len(p)
-    k = np.zeros(n, np.int64)
-    s = np.zeros(n, np.int64)
-    terminal = np.zeros(n, np.int64)
-    steps = list(_lockstep_passes(p, q, k, s, terminal))
-    return k, s, terminal, steps
-
-
-def _lockstep_passes(p, q, k, s, terminal):
-    """The passes of ``_lockstep_run``: all live pairs take one step per
-    pass and finished pairs drop out.  Yields (indices of the live pairs,
-    their digits) per pass and fills in K, S and the terminal modulus.
+    All live pairs take one step per pass and finished pairs drop out.
+    Yields (indices of the live pairs, their digits) per pass and fills in
+    K, S and the terminal modulus.
     """
     passes = 0
     live = np.arange(len(p))

@@ -21,12 +21,13 @@ S <= (2 lg q + 2) lg q, the terminal's odd part against the odd gcd, and
 the costs read off the run (shift count, terminal modulus, gcd) checked
 exactly against the continuant pair of the digits.
 
-A chunk whose q are all below 2^62 runs in lockstep on int64 arrays: one
-step of every live pair per pass, then the continuant pair from the
-digits alone in reduced form, compared exactly with (p / d, q / d) and
-the content exponent.  A chunk with some q >= 2^62 runs pair by pair
-through ``_exponent_run`` and ``continuants``.  Both give the same sums
-bit for bit.
+Each chunk runs in two stages.  A kernel stage returns K, S, the terminal
+modulus and the continuant pair of the digits in reduced form, (X, Y)
+with content exponent E: in int64 lockstep (``_lockstep_costs``) when
+every q is below 2^62, else pair by pair through ``_exponent_run``
+(``_scalar_costs``).  One cost stage (``_chunk_part``) derives every cost
+from K, S and the terminal, checks it exactly against (X, Y, E) and sums;
+both kernel stages give the same sums bit for bit.
 """
 from __future__ import annotations
 
@@ -42,12 +43,10 @@ from .algorithm import (
     _BATCH_LIMIT,
     _bitlen,
     _exponent_run,
-    _lockstep_run,
+    _lockstep_passes,
     _v2,
-    continuants,
 )
 from .constants import LN2, ConstantsTable, m_table
-from .dyadic import dyadic_valuation
 from .dynamics import BirkhoffReport, birkhoff_estimates
 from .errors import ConsistencyError, DomainError
 from .parallel import chunk_counts, derive_seed, map_chunks, merge, moments
@@ -195,45 +194,41 @@ def check_worstcase_bounds(p: int, q: int, k: int, s: int) -> None:
 
 def _stats_chunk(task: tuple):
     pairs = _chunk_pairs(task)
-    if max((q for _, q in pairs), default=0) < _BATCH_LIMIT:
-        return _stats_batch(pairs)
-    return _stats_scalar(pairs)
+    small = max((q for _, q in pairs), default=0) < _BATCH_LIMIT
+    return _chunk_part(pairs,
+                       *(_lockstep_costs if small else _scalar_costs)(pairs))
 
 
-def _stats_scalar(pairs: list):
-    # Every cost is an integer the run already holds.  With d = gcd(p, q)
-    # the terminal modulus carries the odd part of d, the continuant pair
-    # has power-of-two content g = 2^(v(d) + S - v(terminal)), R = q / d
-    # and Q = R * g.  The continuant pair of the digits recomputes all of
-    # it on every pair; any difference raises ConsistencyError.
-    sums = [0, 0, 0, 0, 0.0, 0.0]
-    squares = [0, 0, 0, 0, 0.0, 0.0]
+def _lockstep_costs(pairs: list):
+    """Kernel stage on int64 arrays, every q < 2^62.
+
+    Returns p, q, K, S, the terminal modulus and the reduced continuant
+    pair (X, Y, E) of every pair, from one lockstep run of the chunk.
+    """
+    n = len(pairs)
+    flat = np.fromiter(chain.from_iterable(pairs), np.int64, 2 * n)
+    p, q = flat.reshape(-1, 2).T.copy()
+    k, s, terminal = (np.zeros(n, np.int64) for _ in range(3))
+    steps = list(_lockstep_passes(p, q, k, s, terminal))
+    return (p, q, k, s, terminal, *_lockstep_continuants(steps, n))
+
+
+def _scalar_costs(pairs: list):
+    """Kernel stage pair by pair through ``_exponent_run``, any size.
+
+    Returns what ``_lockstep_costs`` returns, as object arrays.  The
+    continuant pair is read innermost first, x, y = y, (x + y) << a, and
+    loses its common power of two 2^E at the end.
+    """
+    rows = []
     for p, q in pairs:
         exps, terminal = _exponent_run(p, q, canonical=True)
-        k = len(exps)
-        s = sum(exps)
-        check_worstcase_bounds(p, q, k, s)
-        d = math.gcd(p, q)
-        vd = dyadic_valuation(d)
-        vt = dyadic_valuation(terminal)
-        if terminal >> vt != d >> vd:
-            raise ConsistencyError(
-                f"terminal {terminal} lacks the odd gcd of ({p},{q})")
-        g_exp = vd + s - vt
-        r = q // d
-        big_q = r << g_exp
-        q_exp = g_exp + dyadic_valuation(r)
-        cp = continuants(exps)
-        if (cp.Q != big_q or cp.R != r or cp.g != 1 << g_exp
-                or cp.P != (p // d) << g_exp
-                or abs(cp.matrix.det()) != 1 << s):
-            raise ConsistencyError(
-                f"run and continuant pair disagree on ({p},{q}): {exps}")
-        row = (k, s, g_exp, q_exp, math.log(big_q), math.log(r))
-        for j, x in enumerate(row):
-            sums[j] += x
-            squares[j] += x * x
-    return len(pairs), sums, squares
+        x, y = 0, 1
+        for a in reversed(exps):
+            x, y = y, (x + y) << a
+        e = ((x | y) & -(x | y)).bit_length() - 1
+        rows.append((p, q, len(exps), sum(exps), terminal, x >> e, y >> e, e))
+    return tuple(np.array(rows, object).reshape(-1, 8).T)
 
 
 def _lockstep_continuants(steps: list, n: int):
@@ -265,17 +260,17 @@ def _lockstep_continuants(steps: list, n: int):
     return x, y, e
 
 
-def _stats_batch(pairs: list):
-    # _stats_scalar on int64 arrays, all q < 2^62, same sums bit for bit.
-    # The bounds are decided by check_worstcase_bounds on a prefilter that
-    # keeps every violator: q >= 2^(b-1) makes a violation need K > 2b or
-    # S > 2b(b-1), the bound of that function's early return.  The costs come off the run by the scalar formulas, and
-    # the continuant pair of the digits must give back P / g = p / d,
-    # Q / g = R and g = 2^g_exp exactly; E is built without S, so the last
-    # comparison pins S as the determinant check did.
-    flat = np.fromiter(chain.from_iterable(pairs), np.int64, 2 * len(pairs))
-    p, q = flat.reshape(-1, 2).T.copy()
-    k, s, terminal, steps = _lockstep_run(p, q)
+def _chunk_part(pairs: list, p, q, k, s, terminal, x, y, e):
+    # The cost stage, on either kernel stage's arrays.  Every cost is an
+    # integer the run already holds.  With d = gcd(p, q) the terminal
+    # modulus carries the odd part of d, the continuant pair has
+    # power-of-two content g = 2^(v(d) + S - v(terminal)), R = q / d and
+    # Q = R g.  The bounds are decided by check_worstcase_bounds on a
+    # prefilter that keeps every violator: q >= 2^(b-1) makes a violation
+    # need K > 2b or S > 2b(b-1), the bound of that function's early
+    # return.  The reduced continuant pair of the digits must give back
+    # X = p / d, Y = R and E = v(g) exactly; E is built without S, so the
+    # last comparison pins S and v(terminal).
     b = _bitlen(q)
     for i in np.flatnonzero((k > 2 * b) | (s > 2 * b * (b - 1))):
         check_worstcase_bounds(*pairs[i], int(k[i]), int(s[i]))
@@ -290,7 +285,6 @@ def _stats_batch(pairs: list):
     g_exp = vd + s - vt
     r = q // d
     q_exp = g_exp + _v2(r)
-    x, y, e = _lockstep_continuants(steps, len(pairs))
     bad = (x != p // d) | (y != r) | (e != g_exp)
     if bad.any():
         raise ConsistencyError(
@@ -371,7 +365,8 @@ def mean_costs(spec: OmegaSpec, threads: int = 1) -> ExperimentReport:
     against its odd gcd, and its costs, read off the run, exactly against
     its continuant pair, so one experiment is also as many exact identity
     checks as pairs.  Chunks with every q < 2^62 run on the int64 lockstep
-    kernel, others pair by pair; the result does not depend on which.
+    kernel, others pair by pair; one cost stage serves both, and the
+    result does not depend on which kernel ran.
     Deterministic in ``spec.seed`` for any thread count.
     """
     n, sums, squares = merge(
@@ -533,8 +528,9 @@ def dirichlet_check(s: float = 2.0, N: int = 10_000) -> DirichletReport:
     where the q = 1 term is the single pair (1, 1).  The truncation error
     is on the order of N^(2-2s), hence the s >= 1.5 floor.
     """
-    if s < 1.5:
-        raise DomainError(f"need s >= 1.5 for a convergent check, got {s}")
+    if not 1.5 <= s < math.inf:
+        raise DomainError(f"need a finite s >= 1.5 for a convergent check, "
+                          f"got {s}")
     if not 2 <= N <= DIRICHLET_LIMIT:
         raise DomainError(f"need 2 <= N <= {DIRICHLET_LIMIT}, got {N}")
     phi = _totients(N)

@@ -171,8 +171,8 @@ def truncation_depth(t: float, v: float, tail_tol: float, sup_f: float = 1.0) ->
     margin of 8 branches to cover the sup of the cardinal functions when the
     bound is applied columnwise during matrix assembly.
     """
-    if tail_tol <= 0:
-        raise DomainError("tail_tol must be positive")
+    if not 0 < tail_tol < math.inf:
+        raise DomainError(f"tail_tol must be positive and finite, got {tail_tol}")
     if t - v <= 0:
         raise DomainError("branch sum diverges for t - v <= 0")
     ratio = 2.0 ** (v - t)

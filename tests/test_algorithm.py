@@ -19,8 +19,10 @@ from clgcd.algorithm import (
     ContinuantPair,
     StepRecord,
     Trace,
+    _bitlen,
     _exponent_run,
     _leading_word_run,
+    _v2,
     cf_eval,
     cl_run,
     cl_step,
@@ -620,3 +622,21 @@ def test_leading_word_run_rejects_a_broken_batch(monkeypatch):
     monkeypatch.setattr(algorithm, "_certified_batch", one_shift_more)
     with pytest.raises(ConsistencyError, match="leading-word"):
         _leading_word_run([(3 ** 100, 5 ** 70)])
+
+
+def test_bit_length_and_valuation_on_object_arrays():
+    # exact past 2^1024, where the int64 branch's float conversion overflows
+    rng = random.Random(13)
+    xs = [1, 2, 3, (1 << 53) + 1, (1 << 62) - 1, 1 << 1023, (1 << 1024) - 1,
+          1 << 1024, (1 << 1100) + (1 << 7), 3 << 2000]
+    xs += [rng.getrandbits(bits) | 1 << (bits - 1) for bits in range(1, 2100, 7)]
+    xs += [x << rng.randrange(40) for x in xs[:60]]
+    want_b = [x.bit_length() for x in xs]
+    want_v = [(x & -x).bit_length() - 1 for x in xs]
+    arr = np.array(xs, object)
+    assert _bitlen(arr).tolist() == want_b
+    assert _v2(arr).tolist() == want_v
+    small = [i for i, x in enumerate(xs) if x < 1 << 63]
+    arr64 = np.array([xs[i] for i in small], np.int64)
+    assert _bitlen(arr64).tolist() == [want_b[i] for i in small]
+    assert _v2(arr64).tolist() == [want_v[i] for i in small]

@@ -282,6 +282,22 @@ def test_domain_error_exits_1(capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("argv", [
+    ("eigen", "--t", "1", "--v", "0", "--tail-tol", "nan"),
+    ("eigen", "--t", "1", "--v", "0", "--tail-tol", "inf"),
+    ("dirichlet", "--s", "nan"),
+    ("dirichlet", "--s", "inf"),
+    ("constants", "--terms", "2000"),
+])
+def test_out_of_range_floats_and_terms_exit_1(capsys, argv):
+    # non-finite tolerances and exponents, and more series terms than the
+    # float range allows, are domain errors, not tracebacks or nan output
+    code, out, err = invoke(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as exc_info:
         run(["bogus"])

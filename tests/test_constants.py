@@ -8,6 +8,7 @@ from clgcd.constants import (
     LN2,
     LOG32,
     LOG43,
+    SERIES_TERMS_MAX,
     _alt_series,
     const_A,
     const_B_conjectured,
@@ -82,6 +83,18 @@ def test_series_truncation():
         _alt_series(0)
     with pytest.raises(DomainError):
         const_E(terms=0)
+
+
+def test_series_terms_capped_below_float_overflow():
+    # the cap keeps k^2 2^k a float; every term count up to it still sums
+    assert abs(const_E(SERIES_TERMS_MAX) - const_E(64)) <= series_tail_bound(64)
+    for terms in (SERIES_TERMS_MAX + 1, 2000, 10 ** 6):
+        with pytest.raises(DomainError):
+            _alt_series(terms)
+        with pytest.raises(DomainError):
+            const_E(terms)
+        with pytest.raises(DomainError):
+            m_table(terms)
 
 
 def test_h_internal_cross_check():

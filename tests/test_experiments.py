@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import random
@@ -9,7 +8,7 @@ import numpy as np
 import pytest
 
 from clgcd import experiments
-from clgcd.algorithm import _exponent_run, continuants, cost_vector
+from clgcd.algorithm import _exponent_run, cost_vector
 from clgcd.constants import m_table
 from clgcd.dynamics import birkhoff_estimates
 from clgcd.errors import DomainError, ConsistencyError
@@ -74,13 +73,14 @@ def test_omega_sampled_reproducible():
     assert pairs != list(omega_iter(other))
 
 
-# every q of this spec is far above 2^62, so mean_costs takes the scalar path
+# every q of this spec is far above 2^62, so mean_costs takes the scalar
+# kernel stage, _scalar_costs
 _SCALAR_SPEC = OmegaSpec(N=1 << 70, mode="sampled", sample_count=300, seed=5)
 
 
 def test_mean_costs_against_straight_loop():
     # the second spec keeps the non-coprime pairs, where d = gcd(p, q) > 1;
-    # the third has q >= 2^62, which the scalar path serves
+    # the third has q >= 2^62, which the scalar kernel stage serves
     for spec in (OmegaSpec(N=100, mode="exhaustive"),
                  OmegaSpec(N=60, mode="exhaustive", coprime_only=False),
                  _SCALAR_SPEC):
@@ -129,43 +129,80 @@ def _check_against_straight_loop(spec):
         assert rep.ratios_to_k[key] == rep.means[key] / rep.means["K"]
 
 
-def _assert_batch_matches_scalar(pairs):
-    batch = experiments._stats_batch(pairs)
-    scalar = experiments._stats_scalar(pairs)
-    assert batch == scalar
+# the sampled chunks, both limits of the int64 stage, non-coprime pairs,
+# and q up to and beyond the float range
+_CHUNK_SPECS = [OmegaSpec(N=10 ** 6, sample_count=3 * 4096, seed=seed)
+                for seed in (1, 2, 3)]
+_CHUNK_SPECS += [
+    OmegaSpec(N=300, mode="exhaustive"),
+    OmegaSpec(N=120, mode="exhaustive", coprime_only=False),
+    OmegaSpec(N=10 ** 4, sample_count=3 * 4096, coprime_only=False),
+    OmegaSpec(N=(1 << 62) - 1, sample_count=2000),
+    OmegaSpec(N=(1 << 62) - 1, sample_count=2000, coprime_only=False),
+    OmegaSpec(N=1 << 70, sample_count=1000),
+    OmegaSpec(N=1 << 200, sample_count=500, coprime_only=False),
+    OmegaSpec(N=1 << 1100, sample_count=100),
+]
+
+# quotients above 2^53, where a float bit length can round up, the longest
+# runs below 2^62, and the shortest runs
+_TOP = (1 << 62) - 1
+_EDGE_PAIRS = [(1, _TOP), (3, (1 << 61) + 5), (5, (1 << 61) - 1), (1, 2),
+               (2, 3), (10 ** 6 - 1, 10 ** 6), (_TOP - 1, _TOP),
+               (6, (1 << 61) + 2), (1 << 40, (1 << 61) + (1 << 41))]
+_EDGE_PAIRS += [(1, (1 << n) - 1) for n in range(2, 62)]
+
+
+def _straight_part(pairs):
+    # one chunk part from the exact scalar routes: ints added exactly, the
+    # float logs summed in pair order
+    sums = [0, 0, 0, 0, 0.0, 0.0]
+    squares = [0, 0, 0, 0, 0.0, 0.0]
+    for p, q in pairs:
+        exps, _ = _exponent_run(p, q, canonical=True)
+        cost = cost_vector(exps)
+        row = (cost.steps, cost.shifts, cost.g_exp, cost.q_exp,
+               math.log(cost.Q), math.log(cost.R))
+        for j, x in enumerate(row):
+            sums[j] += x
+            squares[j] += x * x
+    return len(pairs), sums, squares
+
+
+def _assert_part_types(part):
     # columns 0-3 (K, S, v(g), v(Q)) reach merge as Python ints
-    for part in (batch, scalar):
-        assert all(type(v) is int for v in part[1][:4] + part[2][:4])
+    assert all(type(v) is int for v in part[1][:4] + part[2][:4])
 
 
-def test_batch_path_matches_scalar_path():
+def test_chunk_parts_match_a_straight_loop():
     # (n, integer sums, float sums) bit for bit on every chunk
-    specs = [OmegaSpec(N=10 ** 6, sample_count=3 * 4096, seed=seed)
-             for seed in (1, 2, 3)]
-    specs += [
-        OmegaSpec(N=300, mode="exhaustive"),
-        OmegaSpec(N=120, mode="exhaustive", coprime_only=False),
-        OmegaSpec(N=10 ** 4, sample_count=3 * 4096, coprime_only=False),
-        OmegaSpec(N=(1 << 62) - 1, sample_count=2000),
-        OmegaSpec(N=(1 << 62) - 1, sample_count=2000, coprime_only=False),
-    ]
-    for spec in specs:
+    for spec in _CHUNK_SPECS:
         for task in experiments._chunk_tasks(spec):
-            _assert_batch_matches_scalar(experiments._chunk_pairs(task))
+            part = experiments._stats_chunk(task)
+            assert part == _straight_part(experiments._chunk_pairs(task))
+            _assert_part_types(part)
 
 
-def test_batch_path_edge_inputs():
-    # quotients above 2^53, where a float bit length can round up, the
-    # longest runs below 2^62, and the shortest runs
-    top = (1 << 62) - 1
-    edges = [(1, top), (3, (1 << 61) + 5), (5, (1 << 61) - 1), (1, 2),
-             (2, 3), (10 ** 6 - 1, 10 ** 6), (top - 1, top),
-             (6, (1 << 61) + 2), (1 << 40, (1 << 61) + (1 << 41))]
-    edges += [(1, (1 << n) - 1) for n in range(2, 62)]
-    for pair in edges:
-        _assert_batch_matches_scalar([pair])
-    _assert_batch_matches_scalar(edges)
-    assert experiments._stats_batch([]) == experiments._stats_scalar([])
+def _assert_kernel_stages_agree(pairs):
+    lockstep = experiments._chunk_part(pairs,
+                                       *experiments._lockstep_costs(pairs))
+    scalar = experiments._chunk_part(pairs, *experiments._scalar_costs(pairs))
+    assert lockstep == scalar
+    _assert_part_types(lockstep)
+    _assert_part_types(scalar)
+
+
+def test_kernel_stages_give_the_same_part():
+    # every chunk the int64 stage can take, through both kernel stages
+    for spec in _CHUNK_SPECS:
+        if spec.N >= 1 << 62:
+            continue
+        for task in experiments._chunk_tasks(spec):
+            _assert_kernel_stages_agree(experiments._chunk_pairs(task))
+    for pair in _EDGE_PAIRS:
+        _assert_kernel_stages_agree([pair])
+    _assert_kernel_stages_agree(_EDGE_PAIRS)
+    _assert_kernel_stages_agree([])
 
 
 def _randint_chunk(n, seed, index, count, coprime_only):
@@ -191,16 +228,18 @@ def test_sampler_reproduces_the_randint_stream(n):
 
 def test_mean_costs_rejects_a_wrong_continuant_pair(monkeypatch):
     # the continuant pair runs on every pair: one that disagrees with the
-    # run is caught, not averaged.  Scalar path first:
-    def doubled(exps):
-        cp = continuants(exps)
-        return dataclasses.replace(cp, Q=2 * cp.Q)
+    # run is caught, not averaged.  Scalar stage first: one digit off, the
+    # terminal kept
+    def digit_off_run(p, q, canonical=True):
+        exps, terminal = _exponent_run(p, q, canonical)
+        exps[0] += 1
+        return exps, terminal
 
-    monkeypatch.setattr(experiments, "continuants", doubled)
+    monkeypatch.setattr(experiments, "_exponent_run", digit_off_run)
     with pytest.raises(ConsistencyError, match="disagree"):
         mean_costs(_SCALAR_SPEC)
 
-    # batch path: the backward pass reads one digit off by one
+    # int64 stage: the backward pass reads one digit off by one
     lockstep_continuants = experiments._lockstep_continuants
 
     def digit_off(steps, n):
@@ -222,19 +261,19 @@ def test_lockstep_continuants_refuse_to_leave_int64():
         experiments._lockstep_continuants([(one, np.array([62]))], 1)
 
 
-def _patch_run(monkeypatch, change):
-    lockstep_run = experiments._lockstep_run
+def _patch_run(monkeypatch, change, stage="_lockstep_costs"):
+    costs = getattr(experiments, stage)
 
-    def patched(p, q):
-        k, s, terminal, steps = lockstep_run(p, q)
+    def patched(pairs):
+        p, q, k, s, terminal, x, y, e = costs(pairs)
         change(k, s, terminal)
-        return k, s, terminal, steps
+        return p, q, k, s, terminal, x, y, e
 
-    monkeypatch.setattr(experiments, "_lockstep_run", patched)
+    monkeypatch.setattr(experiments, stage, patched)
 
 
 def test_mean_costs_rejects_a_wrong_terminal(monkeypatch):
-    # the terminal's odd part must be the odd gcd, on both paths
+    # the terminal's odd part must be the odd gcd, on both kernel stages
     def tripled(p, q, canonical=True):
         exps, terminal = _exponent_run(p, q, canonical)
         return exps, 3 * terminal
@@ -251,14 +290,36 @@ def test_mean_costs_rejects_a_wrong_terminal(monkeypatch):
         mean_costs(OmegaSpec(N=20, mode="exhaustive"))
 
 
+def _one_more_shift(k, s, terminal):
+    s[-1] += 1
+
+
 def test_mean_costs_rejects_a_wrong_shift_count(monkeypatch):
     # the content exponent of the continuant pair is built without S
-    def one_more_shift(k, s, terminal):
-        s[-1] += 1
-
-    _patch_run(monkeypatch, one_more_shift)
+    _patch_run(monkeypatch, _one_more_shift)
     with pytest.raises(ConsistencyError, match="disagree"):
         mean_costs(OmegaSpec(N=20, mode="exhaustive"))
+
+
+def _odd_terminal(k, s, terminal):
+    terminal[-1] *= 3
+
+
+def _doubled_terminal(k, s, terminal):
+    terminal[-1] <<= 1
+
+
+@pytest.mark.parametrize("change, match", [
+    (_one_more_shift, "disagree"),
+    (_doubled_terminal, "disagree"),
+    (_odd_terminal, "odd gcd"),
+])
+def test_scalar_stage_mutations_are_caught(monkeypatch, change, match):
+    # a wrong S, a wrong power of two in the terminal and a wrong odd part
+    # of the terminal, on the object arrays of the scalar kernel stage
+    _patch_run(monkeypatch, change, "_scalar_costs")
+    with pytest.raises(ConsistencyError, match=match):
+        mean_costs(_SCALAR_SPEC)
 
 
 def test_mean_costs_sends_bound_violations_to_the_check(monkeypatch):
