@@ -192,13 +192,17 @@ def _assert_kernel_stages_agree(pairs):
     _assert_part_types(scalar)
 
 
-def test_kernel_stages_give_the_same_part():
-    # every chunk the int64 stage can take, through both kernel stages
+def test_batch_path_matches_scalar_path():
+    # every chunk the int64 (batch) stage can take, through both kernel stages
     for spec in _CHUNK_SPECS:
         if spec.N >= 1 << 62:
             continue
         for task in experiments._chunk_tasks(spec):
             _assert_kernel_stages_agree(experiments._chunk_pairs(task))
+
+
+def test_batch_path_edge_inputs():
+    # the edge pairs singly, together, and the empty chunk
     for pair in _EDGE_PAIRS:
         _assert_kernel_stages_agree([pair])
     _assert_kernel_stages_agree(_EDGE_PAIRS)
