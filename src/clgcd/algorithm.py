@@ -237,6 +237,7 @@ def _exponent_run(p: int, q: int, canonical: bool = True):
 # kernel decides digits on words of 62 bits.
 _WORD_BITS = 62
 _BATCH_LIMIT = 1 << _WORD_BITS
+_WORD_MASK = _BATCH_LIMIT - 1
 # a leading-word batch stops before an entry of its matrix could pass 2^61
 _MATRIX_BITS = 61
 
@@ -332,6 +333,37 @@ def _certified_batch(uh: np.ndarray, wh: np.ndarray) -> np.ndarray:
     return out
 
 
+# entries of at most 2^61 in absolute value keep the int64 determinant exact
+_DET_ENTRY_MAX = 1 << 61
+_HALF_MASK = (1 << 31) - 1
+
+
+def _det_is_power_of_two(m: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """|m00 m11 - m01 m10| == 2^s for every column of the int64 rows
+    m = (m00, m01, m10, m11), decided exactly.
+
+    Each entry splits as h 2^31 + l with 0 <= l < 2^31, and the partial
+    products sum, with carries, to det = top 2^62 + low, 0 <= low < 2^62.
+    Then det = 2^s is top = 0, low = 2^s, and det = -2^s is top = -1,
+    low = 2^62 - 2^s.  No sum overflows while every |entry| <= 2^61, and
+    s < 62 keeps 2^s below the word; ``_MATRIX_BITS`` keeps every batch
+    inside both bounds.  Past them the determinants are taken on Python
+    ints.
+    """
+    if (m.min() < -_DET_ENTRY_MAX or m.max() > _DET_ENTRY_MAX
+            or s.max() >= _WORD_BITS):
+        m = m.astype(object)
+        return np.abs(m[0] * m[3] - m[1] * m[2]) == 1 << s.astype(object)
+    h, l = m >> 31, m & _HALF_MASK
+    mid = h[0] * l[3] + l[0] * h[3] - h[1] * l[2] - l[1] * h[2]
+    low = l[0] * l[3] - l[1] * l[2] + ((mid & _HALF_MASK) << 31)
+    top = h[0] * h[3] - h[1] * h[2] + (mid >> 31) + (low >> _WORD_BITS)
+    low &= _WORD_MASK
+    power = 1 << s
+    return (((top == 0) & (low == power))
+            | ((top == -1) & (low == _BATCH_LIMIT - power)))
+
+
 def _leading_word_run(pairs):
     """``_exponent_run`` (canonical) on pairs of any size: K, S, terminal.
 
@@ -343,8 +375,11 @@ def _leading_word_run(pairs):
     words to ``_certified_batch`` and apply its matrix once to the big
     integers; a pair with no certified digit takes one scalar step
     instead.  Every applied batch is checked exactly, |det M| = 2^(shift
-    sum) and 0 < u' < w', or ConsistencyError is raised.  Returns K, S
-    and terminal as lists.
+    sum) on the int64 matrix (``_det_is_power_of_two``) and 0 < u' < w'
+    on the big integers, or ConsistencyError is raised.  The per-round
+    bookkeeping stays in int64: the common power of two comes from the
+    low 62-bit word of u | w, and one bit length of w serves both the
+    2^62 test and the word shift.  Returns K, S and terminal as lists.
     """
     n = len(pairs)
     k = np.zeros(n, np.int64)
@@ -357,23 +392,26 @@ def _leading_word_run(pairs):
     w = np.array([q for _, q in pairs], object)
     while live.size:
         z = u | w
-        z = _bit_length(z & -z) - 1
+        low = (z & _WORD_MASK).astype(np.int64)
+        # the common power of two, read off the low word unless it is 0
+        z = _v2(low) if low.all() else _v2(z).astype(np.int64)
         u, w = u >> z, w >> z
-        scale[live] += z.astype(np.int64)
-        small = w < _BATCH_LIMIT
+        scale[live] += z
+        wbits = _bitlen(w).astype(np.int64)
+        small = wbits <= _WORD_BITS
         if small.any():
             finish.append((live[small], u[small], w[small]))
             big = ~small
-            live, u, w = live[big], u[big], w[big]
+            live, u, w, wbits = live[big], u[big], w[big], wbits[big]
             if not live.size:
                 break
-        sh = _bit_length(w) - _WORD_BITS
+        sh = wbits - _WORD_BITS
         batch = _certified_batch((u >> sh).astype(np.int64),
                                  (w >> sh).astype(np.int64))
-        m00, m01, m10, m11 = batch[:4].astype(object)
         shifts, count = batch[4], batch[5]
+        m00, m01, m10, m11 = batch[:4].astype(object)
         u, w = m00 * u + m01 * w, m10 * u + m11 * w
-        bad = ((np.abs(m00 * m11 - m01 * m10) != 1 << shifts.astype(object))
+        bad = (~_det_is_power_of_two(batch[:4], shifts)
                | (u <= 0) | (u >= w)) & (count > 0)
         if bad.any():
             raise ConsistencyError("leading-word batch broke the run of "

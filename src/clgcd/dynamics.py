@@ -17,10 +17,14 @@ high random rationals: shift rate, entropy, dyadic growth of the continuant
 gcd, and the valuation rate of the running gcd from the trace table.  The
 orbits run through ``algorithm._leading_word_run``, the leading-word
 kernel, which gives K, S and the terminal modulus of ``_exponent_run``
-bit for bit and checks every batch it applies (|det M| = 2^(shift sum),
-0 < u' < w').  Every orbit's terminal must be a power of two.  Chunks of
-orbits fix the seeds and the order of the sums; a pool task runs a fixed
-group of chunks through the kernel in one lockstep.
+bit for bit and checks every batch it applies: |det M| = 2^(shift sum),
+decided exactly in int64, and 0 < u' < w' on the big integers.  Every
+orbit's terminal must be a power of two.  Chunks of orbits fix the seeds
+and the order of the sums; a pool task runs a fixed group of chunks
+through the kernel in one lockstep.  The pairs are drawn by replaying
+``random.Random.randrange`` through the bound ``getrandbits`` (the same
+stream, without the per-call overhead), and each chunk's column sums
+run in orbit order, as a running sum would.
 """
 from __future__ import annotations
 
@@ -29,7 +33,6 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 from math import gcd
 
 import numpy as np
@@ -192,32 +195,50 @@ class BirkhoffReport:
 
 def _birkhoff_group(args):
     bits, seed, label, chunks = args
-    lo, hi = 1 << (bits - 1), 1 << bits
+    lo = 1 << (bits - 1)
     pairs = []
     for index, count in chunks:
+        # q = randrange(lo, 2 lo) and p = randrange(1, q), redrawn until
+        # coprime, drawn the way random.Random draws them: getrandbits(k),
+        # k the bit length of the range width, redrawn until below it
         rng = random.Random(derive_seed(seed, label, index))
+        getrandbits = rng.getrandbits
         for _ in range(count):
-            q = rng.randrange(lo, hi)
-            p = rng.randrange(1, q)
-            while gcd(p, q) != 1:
-                p = rng.randrange(1, q)
+            q = getrandbits(bits)
+            while q >= lo:
+                q = getrandbits(bits)
+            q += lo
+            width = q - 1
+            k = width.bit_length()
+            while True:
+                p = getrandbits(k)
+                while p >= width:
+                    p = getrandbits(k)
+                p += 1
+                # two even numbers are not coprime; skip their gcd
+                if (p | q) & 1 and gcd(p, q) == 1:
+                    break
             pairs.append((p, q))
-    orbits = zip(pairs, *_leading_word_run(pairs))
+    ks, ss, terminals = _leading_word_run(pairs)
+    vts = [dyadic_valuation(t) for t in terminals]
+    if any(t != 1 << vt for t, vt in zip(terminals, vts)):
+        raise ConsistencyError("coprime input left an odd factor")
+    k, s, vt = (np.array(x, float) for x in (ks, ss, vts))
+    # terminal modulus times continuant gcd is 2^S, so val(g) = S - vt
+    rows = np.array([
+        s / k,
+        2.0 * np.array([math.log(q) for _, q in pairs]) / k,
+        2.0 * (s - vt) * LN2 / k,
+        vt / k,
+    ])
     parts = []
+    start = 0
     for _, count in chunks:
-        sums = [0.0] * 4
-        squares = [0.0] * 4
-        for (_, q), k, s, terminal in islice(orbits, count):
-            vt = dyadic_valuation(terminal)
-            if terminal != (1 << vt):
-                raise ConsistencyError("coprime input left an odd factor")
-            # terminal modulus times continuant gcd is 2^S, so val(g) = S - vt
-            vg = s - vt
-            row = (s / k, 2.0 * math.log(q) / k, 2.0 * vg * LN2 / k, vt / k)
-            for j, x in enumerate(row):
-                sums[j] += x
-                squares[j] += x * x
-        parts.append((count, sums, squares))
+        # cumulative sums add in orbit order, as a running += would
+        block = rows[:, start:start + count]
+        parts.append((count, np.cumsum(block, axis=1)[:, -1].tolist(),
+                      np.cumsum(block * block, axis=1)[:, -1].tolist()))
+        start += count
     return parts
 
 

@@ -578,10 +578,11 @@ def worstcase_scan(n_max: int = 64) -> WorstCaseReport:
 
     Checks the hard bounds on every run and fits K = alpha n + beta,
     S = gamma n^2 + (lower order).  Both conventions are scanned; they
-    differ by exactly one step on this family.
+    differ by exactly one step on this family.  The S fit is quadratic,
+    so n_max must be at least 4: three points or more.
     """
-    if not 2 <= n_max <= 512:
-        raise DomainError(f"need 2 <= n_max <= 512, got {n_max}")
+    if not 4 <= n_max <= 512:
+        raise DomainError(f"need 4 <= n_max <= 512, got {n_max}")
     rows = []
     for n in range(2, n_max + 1):
         q = (1 << n) - 1

@@ -18,6 +18,8 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 
+from .errors import DomainError
+
 
 def derive_seed(seed: int, label: str, index: int) -> int:
     digest = hashlib.sha256(f"{seed}:{label}:{index}".encode()).digest()
@@ -65,8 +67,10 @@ def map_chunks(worker, chunks, threads: int = 1) -> list:
     The pool never has more processes than chunks or CPUs.  An exception
     from a worker keeps its type and is noted with its chunk index; a
     worker process that dies raises ``BrokenProcessPool`` instead of
-    hanging the map.
+    hanging the map.  ``threads`` below 1 raises ``DomainError``.
     """
+    if threads < 1:
+        raise DomainError(f"need threads >= 1, got {threads}")
     chunks = list(chunks)
     processes = min(threads, len(chunks), os.cpu_count() or 1)
     run = partial(_run_chunk, worker)

@@ -20,6 +20,7 @@ from clgcd.algorithm import (
     StepRecord,
     Trace,
     _bitlen,
+    _det_is_power_of_two,
     _exponent_run,
     _leading_word_run,
     _v2,
@@ -622,6 +623,70 @@ def test_leading_word_run_rejects_a_broken_batch(monkeypatch):
     monkeypatch.setattr(algorithm, "_certified_batch", one_shift_more)
     with pytest.raises(ConsistencyError, match="leading-word"):
         _leading_word_run([(3 ** 100, 5 ** 70)])
+
+
+@pytest.mark.parametrize("row", [0, 1, 2, 3])
+def test_leading_word_run_rejects_a_moved_matrix_entry(monkeypatch, row):
+    certified_batch = algorithm._certified_batch
+
+    def moved(uh, wh):
+        batch = certified_batch(uh, wh)
+        batch[row] += batch[5] > 0
+        return batch
+
+    monkeypatch.setattr(algorithm, "_certified_batch", moved)
+    with pytest.raises(ConsistencyError, match="leading-word"):
+        _leading_word_run([(3 ** 100, 5 ** 70)])
+
+
+def _matrix_with_det(rng, det, bound=(1 << 61) - 1):
+    # (c, d) coprime, x d - y c = 1, and (a, b) = det (x, y) reduced
+    # against (c, d), so that a d - b c = det with every entry in bound
+    while True:
+        c, d = (rng.randrange(-bound, bound + 1) for _ in range(2))
+        if c == 0 or gcd(c, d) != 1:
+            continue
+        x = pow(d, -1, abs(c))
+        y = (x * d - 1) // c
+        k = x * det // c
+        a, b = x * det - k * c, y * det - k * d
+        if max(abs(a), abs(b)) <= bound:
+            return a, b, c, d
+
+
+def _check_det_is_power_of_two(cases):
+    m = np.array([row for row, _ in cases], np.int64).T
+    s = np.array([s for _, s in cases], np.int64)
+    want = [abs(a * d - b * c) == 1 << s for (a, b, c, d), s in cases]
+    assert _det_is_power_of_two(m, s).tolist() == want
+
+
+def test_det_is_power_of_two_matches_python_ints():
+    rng = random.Random(14)
+    top = (1 << 61) - 1
+    cases = []
+    for _ in range(2000):
+        row = tuple(rng.randrange(-top, top + 1) for _ in range(4))
+        det = row[0] * row[3] - row[1] * row[2]
+        cases += [(row, rng.randrange(62)),
+                  (row, min(max(abs(det).bit_length() - 1, 0), 61))]
+    for s in range(61):
+        for det in (1 << s, -(1 << s), (1 << s) + 1, (1 << s) - 1,
+                    -(1 << s) + 1, -(1 << s) - 1, 3 << s, -3 << s, 0):
+            row = _matrix_with_det(rng, det)
+            cases += [(row, t) for t in (s - 1, s, s + 1) if t >= 0]
+    # entries on the exactness bound 2^61, and det 0 on large entries
+    edge = 1 << 61
+    for row in ((edge, 0, 0, 1), (0, edge, -1, 0), (edge, edge, edge, edge),
+                (-edge, edge, edge, edge), (edge, 3, edge, 3)):
+        cases += [(row, t) for t in (0, 1, 60, 61)]
+    hits = [abs(a * d - b * c) == 1 << s for (a, b, c, d), s in cases]
+    assert sum(hits) >= 122
+    _check_det_is_power_of_two(cases)
+    # past the bounds the determinants come from Python ints
+    _check_det_is_power_of_two([((edge + 1, 0, 0, 1), 0),
+                                ((edge + 1, 0, 0, 1), 61),
+                                ((edge, 0, 0, 2), 62), ((1, 0, 0, 1), 0)])
 
 
 def test_bit_length_and_valuation_on_object_arrays():

@@ -234,6 +234,15 @@ def test_experiment_slope_rejects_all_pairs(capsys):
     assert "slope ladder" in err and "--all-pairs" in err
 
 
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_experiment_rejects_threads_below_one(capsys, threads):
+    code, out, err = invoke(capsys, "experiment", "--nmax", "1000",
+                            "--samples", "100", "--threads", threads)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "threads" in err
+
+
 def test_dirichlet_output(capsys):
     code, out, _ = invoke(capsys, "dirichlet")
     assert code == 0

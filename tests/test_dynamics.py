@@ -234,8 +234,11 @@ def _scalar_birkhoff(bits, samples, seed):
             "std_errors": dict(zip(keys, ses))}
 
 
-# 2200 orbits at 256 bits span two groups of chunks
-@pytest.mark.parametrize("bits, samples", [(256, 2200), (1024, 150)])
+# 2200 orbits at 256 bits span two groups of chunks; the reference draws
+# with randrange, so 16, 63, 64 and 65 bits pin the replayed draw below
+# and on either side of getrandbits' 32-bit word boundaries
+@pytest.mark.parametrize("bits, samples", [
+    (16, 300), (63, 300), (64, 300), (65, 300), (256, 2200), (1024, 150)])
 def test_birkhoff_matches_scalar_reference(bits, samples):
     expect = _scalar_birkhoff(bits, samples, seed=21)
     for threads in (1, 2):

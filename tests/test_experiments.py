@@ -467,8 +467,11 @@ def test_worstcase_family_exact_counts():
 
 
 def test_worstcase_domain():
-    with pytest.raises(DomainError):
-        worstcase_scan(1)
+    # the S fit is quadratic: n_max = 2 or 3 leaves it one or two points
+    for n_max in (1, 2, 3):
+        with pytest.raises(DomainError):
+            worstcase_scan(n_max)
+    assert len(worstcase_scan(4).rows) == 3
     with pytest.raises(DomainError):
         worstcase_scan(513)
 

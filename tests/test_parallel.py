@@ -8,6 +8,7 @@ from functools import partial
 import pytest
 
 from clgcd import parallel
+from clgcd.errors import DomainError
 from clgcd.parallel import chunk_counts, map_chunks, merge, moments
 
 
@@ -86,6 +87,12 @@ def test_map_chunks_pool_is_capped(monkeypatch, threads, chunks, cpus, sizes):
     assert seen == sizes
 
 
+@pytest.mark.parametrize("threads", [0, -2])
+def test_map_chunks_rejects_threads_below_one(threads):
+    with pytest.raises(DomainError, match="threads"):
+        map_chunks(abs, range(4), threads)
+
+
 def _fail_on_chunk_3(chunk):
     if chunk == 3:
         raise ValueError("bad chunk")
@@ -104,6 +111,7 @@ def test_map_chunks_names_the_failing_chunk(monkeypatch, threads):
 _DIES_ON_CHUNK_3 = """
 import os
 from clgcd import parallel
+from clgcd.errors import DomainError
 
 def work(chunk):
     if chunk == 3:
