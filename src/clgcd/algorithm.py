@@ -254,9 +254,48 @@ def _bitlen(x: np.ndarray) -> np.ndarray:
     return b
 
 
+# the biased exponent field of a float64 read as int64: v >> 52 less this
+_EXP_BIAS = 1023
+
+
+def _float_exponent(x: np.ndarray) -> np.ndarray:
+    """The unbiased exponent of every entry of a positive float64 array."""
+    e = x.view(np.int64) >> 52
+    e -= _EXP_BIAS
+    return e
+
+
 def _v2(x: np.ndarray) -> np.ndarray:
-    """2-adic valuation of every entry of a positive int64 or object array."""
-    return _bitlen(x & -x) - 1
+    """2-adic valuation of every entry of a positive int64 or object array.
+
+    On int64, x & -x is a power of two below 2^63, so its float64 is
+    exact and the valuation is that float's exponent.
+    """
+    if x.dtype == object:
+        return _bitlen(x & -x) - 1
+    return _float_exponent((x & -x).astype(np.float64))
+
+
+def _digit(u: np.ndarray, w: np.ndarray):
+    """a = floor(log2(w / u)) and u << a, for int64 arrays 0 < u <= w <= 2^62.
+
+    a is read off the exponent of the float quotient fl(fl(w) / fl(u)).
+    Rounding to nearest is monotone and exact on powers of two, so from
+    2^a u <= w < 2^(a+1) u it follows that 2^a fl(u) <= fl(w) <=
+    2^(a+1) fl(u) and 2^a <= fl(w) / fl(u) <= 2^(a+1): the exponent is a
+    or a + 1, never below.  One exact comparison, u << a > w, settles it.
+    That shift cannot overflow: u 2^(a+1) <= 2w <= 2^63, with equality
+    only when w = 2^a u = 2^62, and there the quotient is exact.
+    """
+    ratio = w.astype(np.float64)
+    ratio /= u.astype(np.float64)
+    a = _float_exponent(ratio)
+    shifted = u << a
+    over = shifted > w
+    if over.any():
+        a -= over
+        shifted = u << a
+    return a, shifted
 
 
 def _lockstep_passes(p, q, k, s, terminal):
@@ -264,25 +303,38 @@ def _lockstep_passes(p, q, k, s, terminal):
 
     All live pairs take one step per pass and finished pairs drop out.
     Yields (indices of the live pairs, their digits) per pass and fills in
-    K, S and the terminal modulus.
+    K, S and the terminal modulus.  While no pair has finished, nothing is
+    compacted or scattered: the live arrays and S run on in place.
     """
     passes = 0
     live = np.arange(len(p))
+    sl = np.zeros(len(p), np.int64)     # S of the live pairs
     u, w = p, q
     while live.size:
-        a = _bitlen(w // u) - 1
-        # canonical: a zero remainder under a >= 1 is taken with a - 1
-        a -= (w == u << a) & (a >= 1)
-        shifted = u << a
+        a, shifted = _digit(u, w)
         r = w - shifted
+        done = r == 0
+        finished = done.any()
+        if finished:
+            # canonical: a zero remainder under a >= 1 is taken with a - 1
+            rewrite = done & (a >= 1)
+            if rewrite.any():
+                a -= rewrite
+                shifted = u << a
+                r = w - shifted
+                done = r == 0
+                finished = done.any()
         yield live, a
         passes += 1
-        s[live] += a
-        done = r == 0
-        k[live[done]] = passes
-        terminal[live[done]] = shifted[done]
-        keep = ~done
-        live, u, w = live[keep], r[keep], shifted[keep]
+        sl += a
+        if finished:
+            index = live[done]
+            k[index] = passes
+            s[index] = sl[done]
+            terminal[index] = shifted[done]
+            keep = ~done
+            live, sl, r, shifted = live[keep], sl[keep], r[keep], shifted[keep]
+        u, w = r, shifted
 
 
 def _certified_batch(uh: np.ndarray, wh: np.ndarray) -> np.ndarray:
@@ -310,8 +362,8 @@ def _certified_batch(uh: np.ndarray, wh: np.ndarray) -> np.ndarray:
     m00 = m11 = sb + 1
     count = 0
     while live.size:
-        a = _bitlen(dl // nl) - 1
-        lo, hi = nl << a, nh << a
+        a, lo = _digit(nl, dl)
+        hi = nh << a
         rh = dh - hi
         sb2 = sb + a
         # the upper endpoint's branch is at most a; nh <= dh >> a makes it a

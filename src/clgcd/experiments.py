@@ -25,9 +25,14 @@ Each chunk runs in two stages.  A kernel stage returns K, S, the terminal
 modulus and the continuant pair of the digits in reduced form, (X, Y)
 with content exponent E: in int64 lockstep (``_lockstep_costs``) when
 every q is below 2^62, else pair by pair through ``_exponent_run``
-(``_scalar_costs``).  One cost stage (``_chunk_part``) derives every cost
-from K, S and the terminal, checks it exactly against (X, Y, E) and sums;
-both kernel stages give the same sums bit for bit.
+(``_scalar_costs``).  The int64 stage runs its forward passes in pair
+order and reads the continuant pair back with the pairs sorted by K, so
+the pairs a pass touches are a prefix (``_lockstep_continuants``).  One
+cost stage (``_chunk_part``) derives every cost from K, S and the
+terminal, checks it exactly against (X, Y, E) and sums; both kernel
+stages give the same sums bit for bit.  Its logs are ``math.log`` of the
+exact Q and R, taken on floats that round them exactly as ``math.log``
+does, and added one by one in pair order.
 """
 from __future__ import annotations
 
@@ -210,7 +215,7 @@ def _lockstep_costs(pairs: list):
     p, q = flat.reshape(-1, 2).T.copy()
     k, s, terminal = (np.zeros(n, np.int64) for _ in range(3))
     steps = list(_lockstep_passes(p, q, k, s, terminal))
-    return (p, q, k, s, terminal, *_lockstep_continuants(steps, n))
+    return (p, q, k, s, terminal, *_lockstep_continuants(steps, k))
 
 
 def _scalar_costs(pairs: list):
@@ -231,33 +236,71 @@ def _scalar_costs(pairs: list):
     return tuple(np.array(rows, object).reshape(-1, 8).T)
 
 
-def _lockstep_continuants(steps: list, n: int):
+def _lockstep_continuants(steps: list, k: np.ndarray):
     """Reduced continuant pair (X, Y) and content exponent E per pair.
 
-    The digits are read innermost first, x, y = y, (x + y) << a, carried
-    as x = X 2^E, y = Y 2^E with the common power of two stripped every
-    step.  Every suffix of a run is the run of one of its states, so X
-    and Y stay that state reduced, below q < 2^62; a step that would
+    ``steps`` are the (live indices, digits) of ``_lockstep_passes`` and
+    ``k`` the step counts it filled in.  The digits are read innermost
+    first, x, y = y, (x + y) << a, carried as x = X 2^E, y = Y 2^E with
+    the common power of two stripped every step.  The pairs run sorted by
+    K, descending and stable, so the pairs live at pass j are the first
+    ones: each pass places its digits in that order with one scatter and
+    updates a prefix of x, y and e in place.  The result comes back in
+    pair order.  Every suffix of a run is the run of one of its states,
+    so X and Y stay that state reduced, below q < 2^62; a step that would
     leave that range raises instead of wrapping.
     """
+    n = len(k)
+    order = np.argsort(-k, kind="stable")
+    rank = np.empty(n, np.int64)
+    rank[order] = np.arange(n)
     x = np.zeros(n, np.int64)
     y = np.ones(n, np.int64)
     e = np.zeros(n, np.int64)
     for live, a in reversed(steps):
-        xl = x[live]
-        yl = y[live]
+        m = live.size
+        digits = np.empty(m, np.int64)
+        digits[rank[live]] = a
+        xl, yl = x[:m], y[:m]
         # gcd(X, Y) = 1, so gcd(Y, (X + Y) 2^a) = 2^min(v(Y), a)
-        c = np.minimum(_v2(yl), a)
-        shift = a - c
+        c = np.minimum(_v2(yl), digits)
+        shift = digits - c
         t = xl + yl
         over = t >= _BATCH_LIMIT >> shift
         if over.any():
             raise ConsistencyError(f"continuant pair of chunk pair "
-                                   f"{live[np.argmax(over)]} leaves 2^62")
-        x[live] = yl >> c
-        y[live] = t << shift
-        e[live] += c
-    return x, y, e
+                                   f"{order[np.argmax(over)]} leaves 2^62")
+        np.right_shift(yl, c, out=xl)
+        np.left_shift(t, shift, out=yl)
+        e[:m] += c
+    return x[rank], y[rank], e[rank]
+
+
+def _log_columns(r, g_exp):
+    # math.log of Q = R 2^g and of R per pair, as float64 arrays.  On int64
+    # the logs take the floats fl(R) 2^g, which equal fl(Q) and so give
+    # math.log(Q) exactly; Python ints stand in for object arrays and
+    # wherever fl(Q) overflows.
+    if r.dtype == object:
+        q_vals, r_vals = (r << g_exp).tolist(), r.tolist()
+    else:
+        rf = r.astype(np.float64)
+        with np.errstate(over="ignore"):
+            qf = np.ldexp(rf, g_exp)
+        big = np.isinf(qf)
+        if big.any():
+            qf = qf.astype(object)
+            qf[big] = r[big].astype(object) << g_exp[big].astype(object)
+        q_vals, r_vals = qf.tolist(), rf.tolist()
+    log = math.log
+    return [np.fromiter(map(log, v), np.float64, len(v))
+            for v in (q_vals, r_vals)]
+
+
+def _ordered_sum(v: np.ndarray) -> float:
+    # added one by one in pair order, as a Python float loop would
+    # (np.cumsum adds sequentially; np.sum would not)
+    return float(np.cumsum(v)[-1]) if v.size else 0.0
 
 
 def _chunk_part(pairs: list, p, q, k, s, terminal, x, y, e):
@@ -290,18 +333,12 @@ def _chunk_part(pairs: list, p, q, k, s, terminal, x, y, e):
         raise ConsistencyError(
             f"run and continuant pair disagree on {pairs[int(np.argmax(bad))]}")
     # the logs stay math.log of the exact integers, summed in pair order
-    log = math.log
-    ln_q = ln_q2 = ln_r = ln_r2 = 0.0
-    for rr, ge in zip(r.tolist(), g_exp.tolist()):
-        lq = log(rr << ge)
-        lr = log(rr)
-        ln_q += lq
-        ln_q2 += lq * lq
-        ln_r += lr
-        ln_r2 += lr * lr
+    logs = _log_columns(r, g_exp)
     ints = (k, s, g_exp, q_exp)     # as Python ints, so merge adds exactly
-    return (len(pairs), [int(c.sum()) for c in ints] + [ln_q, ln_r],
-            [int((c * c).sum()) for c in ints] + [ln_q2, ln_r2])
+    return (len(pairs),
+            [int(c.sum()) for c in ints] + [_ordered_sum(c) for c in logs],
+            [int((c * c).sum()) for c in ints]
+            + [_ordered_sum(c * c) for c in logs])
 
 
 def theory_means(n: int, table: Optional[ConstantsTable] = None) -> dict:

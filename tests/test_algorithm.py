@@ -21,6 +21,7 @@ from clgcd.algorithm import (
     Trace,
     _bitlen,
     _det_is_power_of_two,
+    _digit,
     _exponent_run,
     _leading_word_run,
     _v2,
@@ -696,6 +697,10 @@ def test_bit_length_and_valuation_on_object_arrays():
           1 << 1024, (1 << 1100) + (1 << 7), 3 << 2000]
     xs += [rng.getrandbits(bits) | 1 << (bits - 1) for bits in range(1, 2100, 7)]
     xs += [x << rng.randrange(40) for x in xs[:60]]
+    # x = 2^j odd for every j, where the int64 valuation reads the float
+    # exponent of the power of two x & -x
+    xs += [odd << j for j in range(63)
+           for odd in (1, 3, (1 << (63 - j)) - 1, rng.getrandbits(63 - j) | 1)]
     want_b = [x.bit_length() for x in xs]
     want_v = [(x & -x).bit_length() - 1 for x in xs]
     arr = np.array(xs, object)
@@ -705,3 +710,50 @@ def test_bit_length_and_valuation_on_object_arrays():
     arr64 = np.array([xs[i] for i in small], np.int64)
     assert _bitlen(arr64).tolist() == [want_b[i] for i in small]
     assert _v2(arr64).tolist() == [want_v[i] for i in small]
+
+
+@st.composite
+def digit_pairs(draw):
+    # 0 < u <= w <= 2^62; u often near w / 2^k, where the digit changes
+    w = draw(st.integers(1, 1 << 62))
+    near = st.builds(lambda k, d: min(max((w >> k) + d, 1), w),
+                     st.integers(0, 62), st.integers(-1, 1))
+    return draw(st.integers(1, w) | near), w
+
+
+def _check_digit(pairs):
+    u = np.array([u for u, _ in pairs], np.int64)
+    w = np.array([w for _, w in pairs], np.int64)
+    a, shifted = _digit(u, w)
+    want = [(w // u).bit_length() - 1 for u, w in pairs]
+    assert a.tolist() == want
+    assert shifted.tolist() == [u << k for (u, _), k in zip(pairs, want)]
+
+
+@given(st.lists(digit_pairs(), min_size=1, max_size=40))
+def test_digit_matches_integer_division(pairs):
+    _check_digit(pairs)
+
+
+def test_digit_on_power_of_two_boundaries():
+    # w = 2^k u - 1, 2^k u and 2^k u + 1 with w past 2^53, where the float
+    # quotient can round up to the next power of two, plus the corners
+    rng = random.Random(15)
+    top = 1 << 62
+    pairs = [(1, 1), (top, top), (top - 1, top - 1), (1, top), (2, top),
+             (top - 1, top), (3, top - 1)]
+    for k in range(62):
+        lo, hi = ((1 << 53) >> k) + 2, (top - 1) >> k
+        if hi < lo:
+            continue
+        us = {lo, hi, rng.randrange(lo, hi + 1)}
+        us |= {(1 << m) - 1 for m in range(1, 63 - k) if lo <= (1 << m) - 1 <= hi}
+        for u in us:
+            pairs += [(u, (u << k) + d) for d in (-1, 0, 1)
+                      if u <= (u << k) + d <= top]
+    # the float exponent overshoots on some of these; the fix must catch it
+    overshoots = sum(math.frexp(float(w) / float(u))[1] - 1
+                     != (w // u).bit_length() - 1 for u, w in pairs)
+    assert overshoots >= 10
+    _check_digit(pairs)
+

@@ -246,10 +246,10 @@ def test_mean_costs_rejects_a_wrong_continuant_pair(monkeypatch):
     # int64 stage: the backward pass reads one digit off by one
     lockstep_continuants = experiments._lockstep_continuants
 
-    def digit_off(steps, n):
+    def digit_off(steps, k):
         live, a = steps[0]
         steps[0] = (live, a + (np.arange(len(a)) == 0))
-        return lockstep_continuants(steps, n)
+        return lockstep_continuants(steps, k)
 
     monkeypatch.setattr(experiments, "_lockstep_continuants", digit_off)
     with pytest.raises(ConsistencyError, match="disagree"):
@@ -258,11 +258,11 @@ def test_mean_costs_rejects_a_wrong_continuant_pair(monkeypatch):
 
 def test_lockstep_continuants_refuse_to_leave_int64():
     # a digit no run below 2^62 can produce raises instead of wrapping
-    one = np.array([0])
-    x, y, e = experiments._lockstep_continuants([(one, np.array([61]))], 1)
+    one, k = np.array([0]), np.array([1])     # one pair, one step
+    x, y, e = experiments._lockstep_continuants([(one, np.array([61]))], k)
     assert (x[0], y[0], e[0]) == (1, 1 << 61, 0)
     with pytest.raises(ConsistencyError, match="leaves"):
-        experiments._lockstep_continuants([(one, np.array([62]))], 1)
+        experiments._lockstep_continuants([(one, np.array([62]))], k)
 
 
 def _patch_run(monkeypatch, change, stage="_lockstep_costs"):
