@@ -425,7 +425,7 @@ def _leading_word_run(pairs):
     v(terminal).  Pairs with w < 2^62 leave for ``_lockstep_passes``,
     which finishes them all at once.  The rest hand their leading 62-bit
     words to ``_certified_batch`` and apply its matrix once to the big
-    integers; a pair with no certified digit takes one scalar step
+    integers; a pair with no certified digit takes one ``cl_step``
     instead.  Every applied batch is checked exactly, |det M| = 2^(shift
     sum) on the int64 matrix (``_det_is_power_of_two``) and 0 < u' < w'
     on the big integers, or ConsistencyError is raised.  The per-round
@@ -474,19 +474,18 @@ def _leading_word_run(pairs):
         if stuck.size:
             done = np.zeros(live.size, bool)
             for j in stuck.tolist():
-                i, uj, wj = live[j], u[j], w[j]
-                a = (wj // uj).bit_length() - 1
-                r = wj - (uj << a)
-                if r == 0 and a >= 1:
-                    a -= 1
-                    r = uj << a
+                i = live[j]
+                a, r, (_, shifted) = cl_step(u[j], w[j])
+                if r == 0:
+                    if a:       # the canonical end: digits (a - 1, 0)
+                        a -= 1
+                        k[i] += 1
+                        shifted >>= 1
+                    terminal[i] = shifted << int(scale[i])
+                    done[j] = True
                 k[i] += 1
                 s[i] += a
-                if r == 0:
-                    terminal[i] = uj << a << int(scale[i])
-                    done[j] = True
-                else:
-                    u[j], w[j] = r, uj << a
+                u[j], w[j] = r, shifted
             if done.any():
                 live, u, w = live[~done], u[~done], w[~done]
     if finish:

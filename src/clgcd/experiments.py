@@ -21,16 +21,21 @@ S <= (2 lg q + 2) lg q, the terminal's odd part against the odd gcd, and
 the costs read off the run (shift count, terminal modulus, gcd) checked
 exactly against the continuant pair of the digits.
 
-Each chunk runs in two stages.  A kernel stage returns K, S, the terminal
-modulus and the continuant pair of the digits in reduced form, (X, Y)
-with content exponent E: in int64 lockstep (``_lockstep_costs``) when
-every q is below 2^62, else pair by pair through ``_exponent_run``
-(``_scalar_costs``).  The int64 stage runs its forward passes in pair
-order and reads the continuant pair back with the pairs sorted by K, so
-the pairs a pass touches are a prefix (``_lockstep_continuants``).  One
-cost stage (``_chunk_part``) derives every cost from K, S and the
-terminal, checks it exactly against (X, Y, E) and sums; both kernel
-stages give the same sums bit for bit.  Its logs are ``math.log`` of the
+Each chunk runs in two stages.  The sampler or the exhaustive enumerator
+hands the chunk's p and q columns (``_chunk_columns``) straight to a
+kernel stage, which returns K, S, the terminal modulus and the continuant
+pair of the digits in reduced form, (X, Y) with content exponent E: in
+int64 lockstep (``_lockstep_costs``) when the chunk's own bound on q (N
+for a sampled chunk, the last denominator of an exhaustive one) is below
+2^62, else pair by pair through ``_exponent_run`` (``_scalar_costs``).
+The int64 stage runs its forward passes in pair order and reads the
+continuant pair back with the pairs sorted by K, so the pairs a pass
+touches are a prefix (``_lockstep_continuants``).  One cost stage
+(``_chunk_part``) derives every cost from K, S and the terminal, checks
+it exactly against (X, Y, E) and sums; both kernel stages give the same
+sums bit for bit.  A coprime chunk checks the terminal against d = 1,
+which its own gcd established when it accepted each pair; a chunk open
+to all pairs computes d = gcd(p, q).  The logs are ``math.log`` of the
 exact Q and R, taken on floats that round them exactly as ``math.log``
 does, and added one by one in pair order.
 """
@@ -39,7 +44,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -103,15 +107,17 @@ class OmegaSpec:
 
 
 def _sample_chunk(n: int, seed: int, index: int, count: int,
-                  coprime_only: bool) -> list:
+                  coprime_only: bool) -> tuple[list, list]:
     # q = randint(2, n) and p = randint(1, q - 1), drawn the way
     # random.Random draws them: getrandbits(k), k the bit length of the
     # range width, redrawn until below the width.  Same stream, 3x faster.
+    # Returns the p and q columns of the chunk.
     getrandbits = random.Random(derive_seed(seed, "omega", index)).getrandbits
     gcd = math.gcd
     width = n - 1
     bits = width.bit_length()
-    pairs = []
+    ps, qs = [], []
+    p_append, q_append = ps.append, qs.append
     for _ in range(count):
         while True:
             q = getrandbits(bits)
@@ -126,8 +132,9 @@ def _sample_chunk(n: int, seed: int, index: int, count: int,
             p += 1
             if not coprime_only or gcd(p, q) == 1:
                 break
-        pairs.append((p, q))
-    return pairs
+        p_append(p)
+        q_append(q)
+    return ps, qs
 
 
 def _chunk_tasks(spec: OmegaSpec) -> Iterator[tuple]:
@@ -151,17 +158,22 @@ def _chunk_tasks(spec: OmegaSpec) -> Iterator[tuple]:
         q = hi
 
 
-def _chunk_pairs(task: tuple) -> list:
+def _chunk_columns(task: tuple) -> tuple[list, list]:
+    """The p and q columns of one chunk, in the order ``omega_iter`` yields."""
     if task[0] == "sampled":
-        _, n, seed, index, count, coprime_only = task
-        return _sample_chunk(n, seed, index, count, coprime_only)
+        return _sample_chunk(*task[1:])
     _, q_lo, q_hi, coprime_only = task
-    pairs = []
+    ps, qs = [], []
+    gcd = math.gcd
     for q in range(q_lo, q_hi):
-        for p in range(1, q):
-            if not coprime_only or math.gcd(p, q) == 1:
-                pairs.append((p, q))
-    return pairs
+        row = [p for p in range(1, q) if not coprime_only or gcd(p, q) == 1]
+        ps += row
+        qs += [q] * len(row)
+    return ps, qs
+
+
+def _chunk_pairs(task: tuple) -> list:
+    return list(zip(*_chunk_columns(task)))
 
 
 def omega_iter(spec: OmegaSpec) -> Iterator[tuple[int, int]]:
@@ -198,27 +210,27 @@ def check_worstcase_bounds(p: int, q: int, k: int, s: int) -> None:
 
 
 def _stats_chunk(task: tuple):
-    pairs = _chunk_pairs(task)
-    small = max((q for _, q in pairs), default=0) < _BATCH_LIMIT
-    return _chunk_part(pairs,
-                       *(_lockstep_costs if small else _scalar_costs)(pairs))
+    # the task's own bound on q picks the kernel stage: N for a sampled
+    # chunk, q_hi - 1 for an exhaustive one
+    bound = task[1] if task[0] == "sampled" else task[2] - 1
+    stage = _lockstep_costs if bound < _BATCH_LIMIT else _scalar_costs
+    return _chunk_part(*stage(*_chunk_columns(task)), coprime=task[-1])
 
 
-def _lockstep_costs(pairs: list):
+def _lockstep_costs(p: list, q: list):
     """Kernel stage on int64 arrays, every q < 2^62.
 
-    Returns p, q, K, S, the terminal modulus and the reduced continuant
-    pair (X, Y, E) of every pair, from one lockstep run of the chunk.
+    Takes a chunk's p and q columns and returns p, q, K, S, the terminal
+    modulus and the reduced continuant pair (X, Y, E) of every pair, from
+    one lockstep run of the chunk.
     """
-    n = len(pairs)
-    flat = np.fromiter(chain.from_iterable(pairs), np.int64, 2 * n)
-    p, q = flat.reshape(-1, 2).T.copy()
-    k, s, terminal = (np.zeros(n, np.int64) for _ in range(3))
+    p, q = np.array(p, np.int64), np.array(q, np.int64)
+    k, s, terminal = (np.zeros(p.size, np.int64) for _ in range(3))
     steps = list(_lockstep_passes(p, q, k, s, terminal))
     return (p, q, k, s, terminal, *_lockstep_continuants(steps, k))
 
 
-def _scalar_costs(pairs: list):
+def _scalar_costs(p: list, q: list):
     """Kernel stage pair by pair through ``_exponent_run``, any size.
 
     Returns what ``_lockstep_costs`` returns, as object arrays.  The
@@ -226,14 +238,15 @@ def _scalar_costs(pairs: list):
     loses its common power of two 2^E at the end.
     """
     rows = []
-    for p, q in pairs:
-        exps, terminal = _exponent_run(p, q, canonical=True)
+    for pi, qi in zip(p, q):
+        exps, terminal = _exponent_run(pi, qi, canonical=True)
         x, y = 0, 1
         for a in reversed(exps):
             x, y = y, (x + y) << a
         e = ((x | y) & -(x | y)).bit_length() - 1
-        rows.append((p, q, len(exps), sum(exps), terminal, x >> e, y >> e, e))
-    return tuple(np.array(rows, object).reshape(-1, 8).T)
+        rows.append((len(exps), sum(exps), terminal, x >> e, y >> e, e))
+    return (np.array(p, object), np.array(q, object),
+            *np.array(rows, object).reshape(-1, 6).T)
 
 
 def _lockstep_continuants(steps: list, k: np.ndarray):
@@ -303,39 +316,47 @@ def _ordered_sum(v: np.ndarray) -> float:
     return float(np.cumsum(v)[-1]) if v.size else 0.0
 
 
-def _chunk_part(pairs: list, p, q, k, s, terminal, x, y, e):
+def _pair(p, q, i) -> tuple:
+    return int(p[i]), int(q[i])
+
+
+def _chunk_part(p, q, k, s, terminal, x, y, e, coprime: bool):
     # The cost stage, on either kernel stage's arrays.  Every cost is an
     # integer the run already holds.  With d = gcd(p, q) the terminal
     # modulus carries the odd part of d, the continuant pair has
     # power-of-two content g = 2^(v(d) + S - v(terminal)), R = q / d and
-    # Q = R g.  The bounds are decided by check_worstcase_bounds on a
-    # prefilter that keeps every violator: q >= 2^(b-1) makes a violation
-    # need K > 2b or S > 2b(b-1), the bound of that function's early
-    # return.  The reduced continuant pair of the digits must give back
-    # X = p / d, Y = R and E = v(g) exactly; E is built without S, so the
-    # last comparison pins S and v(terminal).
+    # Q = R g.  A coprime chunk takes d = 1, which its own gcd established
+    # when it accepted each pair; any other chunk computes d.  The bounds
+    # are decided by check_worstcase_bounds on a prefilter that keeps
+    # every violator: q >= 2^(b-1) makes a violation need K > 2b or
+    # S > 2b(b-1), the bound of that function's early return.  The reduced
+    # continuant pair of the digits must give back X = p / d, Y = R and
+    # E = v(g) exactly; E is built without S, so the last comparison pins
+    # S and v(terminal).
     b = _bitlen(q)
     for i in np.flatnonzero((k > 2 * b) | (s > 2 * b * (b - 1))):
-        check_worstcase_bounds(*pairs[i], int(k[i]), int(s[i]))
-    d = np.gcd(p, q)
-    vd = _v2(d)
+        check_worstcase_bounds(*_pair(p, q, i), int(k[i]), int(s[i]))
     vt = _v2(terminal)
-    bad = terminal >> vt != d >> vd
+    if coprime:
+        odd_d, g_exp, x_want, r = 1, s - vt, p, q
+    else:
+        d = np.gcd(p, q)
+        vd = _v2(d)
+        odd_d, g_exp, x_want, r = d >> vd, vd + s - vt, p // d, q // d
+    bad = terminal >> vt != odd_d
     if bad.any():
         i = int(np.argmax(bad))
         raise ConsistencyError(
-            f"terminal {terminal[i]} lacks the odd gcd of {pairs[i]}")
-    g_exp = vd + s - vt
-    r = q // d
+            f"terminal {terminal[i]} lacks the odd gcd of {_pair(p, q, i)}")
     q_exp = g_exp + _v2(r)
-    bad = (x != p // d) | (y != r) | (e != g_exp)
+    bad = (x != x_want) | (y != r) | (e != g_exp)
     if bad.any():
-        raise ConsistencyError(
-            f"run and continuant pair disagree on {pairs[int(np.argmax(bad))]}")
+        raise ConsistencyError("run and continuant pair disagree on "
+                               f"{_pair(p, q, int(np.argmax(bad)))}")
     # the logs stay math.log of the exact integers, summed in pair order
     logs = _log_columns(r, g_exp)
     ints = (k, s, g_exp, q_exp)     # as Python ints, so merge adds exactly
-    return (len(pairs),
+    return (len(p),
             [int(c.sum()) for c in ints] + [_ordered_sum(c) for c in logs],
             [int((c * c).sum()) for c in ints]
             + [_ordered_sum(c * c) for c in logs])
@@ -401,9 +422,12 @@ def mean_costs(spec: OmegaSpec, threads: int = 1) -> ExperimentReport:
     Every pair is checked against the worst-case bounds, its terminal
     against its odd gcd, and its costs, read off the run, exactly against
     its continuant pair, so one experiment is also as many exact identity
-    checks as pairs.  Chunks with every q < 2^62 run on the int64 lockstep
-    kernel, others pair by pair; one cost stage serves both, and the
-    result does not depend on which kernel ran.
+    checks as pairs.  Each chunk hands its p and q columns to a kernel
+    stage: the int64 lockstep when the chunk's bound on q is below 2^62,
+    else pair by pair.  One cost stage serves both, and the result does
+    not depend on which kernel ran.  A coprime chunk checks each terminal
+    against d = 1, from the gcd that accepted the pair, and computes no
+    second gcd.
     Deterministic in ``spec.seed`` for any thread count.
     """
     n, sums, squares = merge(

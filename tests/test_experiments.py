@@ -40,6 +40,13 @@ def test_omega_exhaustive_order():
         (1, 2), (1, 3), (2, 3), (1, 4), (3, 4),
         (1, 5), (2, 5), (3, 5), (4, 5),
     ]
+    # q ascending, p ascending within q, across several chunks
+    for n, coprime_only in ((150, True), (120, False)):
+        spec = OmegaSpec(N=n, mode="exhaustive", coprime_only=coprime_only)
+        assert len(list(experiments._chunk_tasks(spec))) > 1
+        assert list(omega_iter(spec)) == [
+            (p, q) for q in range(2, n + 1) for p in range(1, q)
+            if not coprime_only or gcd(p, q) == 1]
 
 
 def test_omega_all_pairs():
@@ -183,13 +190,20 @@ def test_chunk_parts_match_a_straight_loop():
             _assert_part_types(part)
 
 
-def _assert_kernel_stages_agree(pairs):
-    lockstep = experiments._chunk_part(pairs,
-                                       *experiments._lockstep_costs(pairs))
-    scalar = experiments._chunk_part(pairs, *experiments._scalar_costs(pairs))
-    assert lockstep == scalar
-    _assert_part_types(lockstep)
-    _assert_part_types(scalar)
+def _columns(pairs):
+    return [p for p, _ in pairs], [q for _, q in pairs]
+
+
+def _assert_kernel_stages_agree(p, q, coprime=False):
+    # both kernel stages, and on a coprime chunk both the d = 1 route and
+    # the gcd route, give one part
+    parts = [experiments._chunk_part(*stage(p, q), coprime=route)
+             for stage in (experiments._lockstep_costs,
+                           experiments._scalar_costs)
+             for route in {False, coprime}]
+    for part in parts:
+        assert part == parts[0]
+        _assert_part_types(part)
 
 
 def test_batch_path_matches_scalar_path():
@@ -198,15 +212,59 @@ def test_batch_path_matches_scalar_path():
         if spec.N >= 1 << 62:
             continue
         for task in experiments._chunk_tasks(spec):
-            _assert_kernel_stages_agree(experiments._chunk_pairs(task))
+            _assert_kernel_stages_agree(*experiments._chunk_columns(task),
+                                        coprime=spec.coprime_only)
 
 
 def test_batch_path_edge_inputs():
     # the edge pairs singly, together, and the empty chunk
     for pair in _EDGE_PAIRS:
-        _assert_kernel_stages_agree([pair])
-    _assert_kernel_stages_agree(_EDGE_PAIRS)
-    _assert_kernel_stages_agree([])
+        _assert_kernel_stages_agree(*_columns([pair]))
+    _assert_kernel_stages_agree(*_columns(_EDGE_PAIRS))
+    _assert_kernel_stages_agree([], [])
+
+
+@pytest.mark.parametrize("pair, match", [
+    ((3, 9), "odd gcd"), ((6, 9), "odd gcd"), ((15, 25), "odd gcd"),
+    # a power-of-two gcd leaves the terminal's odd part at 1; the
+    # continuant pair, which must give back X = p, catches it
+    ((2, 4), "disagree"), ((6, 10), "disagree"), ((12, 40), "disagree"),
+])
+@pytest.mark.parametrize("stage", ["_lockstep_costs", "_scalar_costs"])
+def test_coprime_route_rejects_a_common_factor(pair, match, stage):
+    # a chunk that claims coprime pairs takes d = 1; a pair with a common
+    # factor still raises, alone or among coprime pairs
+    for pairs in ([pair], [(1, 2), pair, (3, 7)]):
+        costs = getattr(experiments, stage)(*_columns(pairs))
+        with pytest.raises(ConsistencyError, match=match):
+            experiments._chunk_part(*costs, coprime=True)
+
+
+@pytest.mark.parametrize("task, stage, other", [
+    (("sampled", (1 << 62) - 1, 1, 0, 200, True),
+     "_lockstep_costs", "_scalar_costs"),
+    (("sampled", 1 << 62, 1, 0, 200, True),
+     "_scalar_costs", "_lockstep_costs"),
+    (("exhaustive", 2, 60, True), "_lockstep_costs", "_scalar_costs"),
+])
+def test_kernel_stage_follows_the_task_bound(monkeypatch, task, stage, other):
+    # the task's own bound picks the kernel stage: N for a sampled chunk,
+    # q_hi - 1 for an exhaustive one; the other stage must not run
+    def refuse(p, q):
+        raise AssertionError(f"{other} ran on {task}")
+
+    ran = []
+    costs = getattr(experiments, stage)
+
+    def record(p, q):
+        ran.append(len(p))
+        return costs(p, q)
+
+    monkeypatch.setattr(experiments, other, refuse)
+    monkeypatch.setattr(experiments, stage, record)
+    part = experiments._stats_chunk(task)
+    assert ran == [part[0]] and part[0] > 0
+    assert part == _straight_part(experiments._chunk_pairs(task))
 
 
 def _randint_chunk(n, seed, index, count, coprime_only):
@@ -227,7 +285,8 @@ def test_sampler_reproduces_the_randint_stream(n):
     for seed, index, coprime_only in ((DEFAULT_SEED, 0, True), (7, 3, False),
                                       (11, 12, True)):
         args = (n, seed, index, 500, coprime_only)
-        assert experiments._sample_chunk(*args) == _randint_chunk(*args)
+        columns = experiments._sample_chunk(*args)
+        assert list(zip(*columns)) == _randint_chunk(*args)
 
 
 def test_mean_costs_rejects_a_wrong_continuant_pair(monkeypatch):
@@ -268,8 +327,8 @@ def test_lockstep_continuants_refuse_to_leave_int64():
 def _patch_run(monkeypatch, change, stage="_lockstep_costs"):
     costs = getattr(experiments, stage)
 
-    def patched(pairs):
-        p, q, k, s, terminal, x, y, e = costs(pairs)
+    def patched(p, q):
+        p, q, k, s, terminal, x, y, e = costs(p, q)
         change(k, s, terminal)
         return p, q, k, s, terminal, x, y, e
 
