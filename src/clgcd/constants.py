@@ -141,7 +141,7 @@ def m_table(terms: int = 64) -> ConstantsTable:
             "sigma": D,
             "q": A + D,
             "rho": B + D,
-            "r": A - B,
+            "r": H,
             "q2": B + D,
         },
         terms=terms,

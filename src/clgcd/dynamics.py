@@ -36,13 +36,14 @@ from fractions import Fraction
 from math import gcd
 
 import numpy as np
-from scipy.special import roots_legendre
+from numpy.polynomial.legendre import leggauss
 
 from .algorithm import _leading_word_run
 from .constants import LN2, LOG43
 from .dyadic import dyadic_valuation
 from .errors import ConsistencyError, DomainError
-from .parallel import chunk_counts, derive_seed, map_chunks, merge, moments
+from .parallel import (chunk_counts, derive_seed, map_chunks, merge, moments,
+                       part)
 from .spectral import (CollocationGrid, _branch_matrix, _shared_grid,
                        truncation_depth)
 
@@ -136,7 +137,7 @@ def transfer_apply(f, t: float, v: float, tail_tol: float = 1e-10,
 @functools.lru_cache(maxsize=4)
 def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only Gauss-Legendre nodes and weights on [-1, 1]."""
-    rule = roots_legendre(order)
+    rule = leggauss(order)
     for array in rule:
         array.flags.writeable = False
     return rule
@@ -231,15 +232,9 @@ def _birkhoff_group(args):
         2.0 * (s - vt) * LN2 / k,
         vt / k,
     ])
-    parts = []
-    start = 0
-    for _, count in chunks:
-        # cumulative sums add in orbit order, as a running += would
-        block = rows[:, start:start + count]
-        parts.append((count, np.cumsum(block, axis=1)[:, -1].tolist(),
-                      np.cumsum(block * block, axis=1)[:, -1].tolist()))
-        start += count
-    return parts
+    ends = np.cumsum([count for _, count in chunks])
+    return [part(count, (), rows[:, end - count:end])
+            for (_, count), end in zip(chunks, ends)]
 
 
 def birkhoff_estimates(bits: int, samples: int, seed: int,

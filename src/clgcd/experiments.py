@@ -58,7 +58,8 @@ from .algorithm import (
 from .constants import LN2, ConstantsTable, m_table
 from .dynamics import BirkhoffReport, birkhoff_estimates
 from .errors import ConsistencyError, DomainError
-from .parallel import chunk_counts, derive_seed, map_chunks, merge, moments
+from .parallel import (chunk_counts, derive_seed, map_chunks, merge, moments,
+                       part)
 
 # A chunk part's columns are K, S, v(g), v(Q) (ints) and ln Q, ln R
 # (floats); each cost reads one column at one scale, sigma being S in nats.
@@ -172,10 +173,6 @@ def _chunk_columns(task: tuple) -> tuple[list, list]:
     return ps, qs
 
 
-def _chunk_pairs(task: tuple) -> list:
-    return list(zip(*_chunk_columns(task)))
-
-
 def omega_iter(spec: OmegaSpec) -> Iterator[tuple[int, int]]:
     """Yield the pairs of ``spec`` in their canonical order.
 
@@ -183,7 +180,7 @@ def omega_iter(spec: OmegaSpec) -> Iterator[tuple[int, int]]:
     mode replays the chunked substreams in chunk order.
     """
     for task in _chunk_tasks(spec):
-        yield from _chunk_pairs(task)
+        yield from zip(*_chunk_columns(task))
 
 
 def check_worstcase_bounds(p: int, q: int, k: int, s: int) -> None:
@@ -310,12 +307,6 @@ def _log_columns(r, g_exp):
             for v in (q_vals, r_vals)]
 
 
-def _ordered_sum(v: np.ndarray) -> float:
-    # added one by one in pair order, as a Python float loop would
-    # (np.cumsum adds sequentially; np.sum would not)
-    return float(np.cumsum(v)[-1]) if v.size else 0.0
-
-
 def _pair(p, q, i) -> tuple:
     return int(p[i]), int(q[i])
 
@@ -354,12 +345,7 @@ def _chunk_part(p, q, k, s, terminal, x, y, e, coprime: bool):
         raise ConsistencyError("run and continuant pair disagree on "
                                f"{_pair(p, q, int(np.argmax(bad)))}")
     # the logs stay math.log of the exact integers, summed in pair order
-    logs = _log_columns(r, g_exp)
-    ints = (k, s, g_exp, q_exp)     # as Python ints, so merge adds exactly
-    return (len(p),
-            [int(c.sum()) for c in ints] + [_ordered_sum(c) for c in logs],
-            [int((c * c).sum()) for c in ints]
-            + [_ordered_sum(c * c) for c in logs])
+    return part(len(p), (k, s, g_exp, q_exp), _log_columns(r, g_exp))
 
 
 def theory_means(n: int, table: Optional[ConstantsTable] = None) -> dict:
@@ -517,15 +503,7 @@ def slope_estimate(N_max: int, sample_count: int = 1_000_000,
         ratios[key] = ratio
         ratio_errs[key] = abs(ratio) * math.hypot(
             errs[key] / slopes[key], errs["K"] / slopes["K"])
-    targets = {
-        "K": table.two_over_H,
-        "S": table.D / LN2,
-        "sigma": table.D,
-        "q": table.E,
-        "rho": table.B_conj + table.D,
-        "r": table.H_conj,
-        "q2": table.B_conj + table.D,
-    }
+    targets = {"K": table.two_over_H, "S": table.D / LN2, **table.mean_costs}
     return SlopeReport(
         N_max=N_max,
         sample_count=sample_count,
@@ -734,7 +712,7 @@ def conjecture_check(bits: int = 256, trajectory_samples: int = 10_000,
     expensive runs.
     """
     table = m_table()
-    target = table.B_conj + table.D
+    target = table.mean_costs["rho"]
     if birkhoff is None:
         birkhoff = birkhoff_estimates(bits, trajectory_samples,
                                       derive_seed(seed, "conjecture", 0),

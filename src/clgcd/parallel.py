@@ -6,8 +6,8 @@ chunk order.  The outcome is therefore a function of the seed alone: bitwise
 identical for any worker count, including the sequential path.
 ``chunk_counts`` cuts a sample count into such chunks.  Each chunk returns
 one part ``(n, sums, squares)``, a sum and a sum of squares per column,
-which ``merge`` adds up; ``moments`` turns a merged column into a mean
-and its standard error.
+which ``part`` builds and ``merge`` adds up; ``moments`` turns a merged
+column into a mean and its standard error.
 """
 from __future__ import annotations
 
@@ -30,6 +30,22 @@ def chunk_counts(total: int, size: int):
     """Yield (index, count) for ``total`` items cut into chunks of ``size``."""
     for index, start in enumerate(range(0, total, size)):
         yield index, min(size, total - start)
+
+
+def part(n: int, ints, floats) -> tuple[int, list, list]:
+    """One chunk's part ``(n, sums, squares)`` from its array columns.
+
+    Integer columns are summed as Python ints, so ``merge`` adds them
+    exactly.  Float columns are added one by one in order, as a running
+    ``+=`` would: ``cumsum`` adds sequentially, ``sum`` would add
+    pairwise.  An empty float column gives 0.0.
+    """
+    def ordered(c):
+        return float(c.cumsum()[-1]) if c.size else 0.0
+
+    return (n, [int(c.sum()) for c in ints] + [ordered(c) for c in floats],
+            [int((c * c).sum()) for c in ints]
+            + [ordered(c * c) for c in floats])
 
 
 def merge(parts) -> tuple[int, list, list]:
@@ -76,7 +92,7 @@ def map_chunks(worker, chunks, threads: int = 1) -> list:
     run = partial(_run_chunk, worker)
     if processes <= 1:
         return list(map(run, enumerate(chunks)))
-    # fork: a fresh pool per call must not re-import numpy and scipy
+    # fork: a fresh pool per call must not re-import numpy
     with ProcessPoolExecutor(
             processes, mp_context=multiprocessing.get_context("fork")) as pool:
         # four batches per process, as multiprocessing.Pool.map sends them

@@ -48,6 +48,10 @@ MIN_GAP = 0.2
 #: grid sizes whose shared grid (nodes, weights, cardinal matrices) is kept
 _GRIDS_KEPT = 8
 
+#: largest grid: each n x n matrix takes 8 MB here, and the constants'
+#: accuracy saturates near n = 48
+GRID_MAX = 1024
+
 
 class CollocationGrid:
     """Chebyshev-Lobatto nodes on [0, 1] with barycentric interpolation.
@@ -56,11 +60,13 @@ class CollocationGrid:
     Clenshaw-Curtis weights for the same nodes (they integrate polynomials of
     degree n-1 exactly and analytic functions to spectral accuracy).  The
     arrays are read-only, so that one grid can be shared by every caller.
+    n runs from 2 to ``GRID_MAX``; a larger n raises before any array is
+    built.
     """
 
     def __init__(self, n: int):
-        if n < 2:
-            raise DomainError(f"grid needs at least 2 nodes, got {n}")
+        if not 2 <= n <= GRID_MAX:
+            raise DomainError(f"grid needs 2 to {GRID_MAX} nodes, got {n}")
         self.n = n
         N = n - 1
         theta = np.arange(n) * (math.pi / N)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -305,6 +306,25 @@ def test_out_of_range_floats_and_terms_exit_1(capsys, argv):
     assert code == 1
     assert out == ""
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ("eigen", "--t", "1", "--v", "0", "--grid", "1025"),
+    ("taylor", "--grid", "1025"),
+])
+def test_oversized_grid_exits_1_before_allocating(capsys, argv):
+    # the n x n matrices of a 1025-point grid would take 8 MB each; the
+    # grid is refused before any of them is built
+    tracemalloc.start()
+    try:
+        code, out, err = invoke(capsys, *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "1024" in err
+    assert peak < 1 << 20
 
 
 def test_usage_error_exits_2(capsys):

@@ -186,7 +186,8 @@ def test_chunk_parts_match_a_straight_loop():
     for spec in _CHUNK_SPECS:
         for task in experiments._chunk_tasks(spec):
             part = experiments._stats_chunk(task)
-            assert part == _straight_part(experiments._chunk_pairs(task))
+            assert part == _straight_part(
+                list(zip(*experiments._chunk_columns(task))))
             _assert_part_types(part)
 
 
@@ -264,7 +265,8 @@ def test_kernel_stage_follows_the_task_bound(monkeypatch, task, stage, other):
     monkeypatch.setattr(experiments, stage, record)
     part = experiments._stats_chunk(task)
     assert ran == [part[0]] and part[0] > 0
-    assert part == _straight_part(experiments._chunk_pairs(task))
+    assert part == _straight_part(
+        list(zip(*experiments._chunk_columns(task))))
 
 
 def _randint_chunk(n, seed, index, count, coprime_only):

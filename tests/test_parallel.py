@@ -5,11 +5,12 @@ import subprocess
 import sys
 from functools import partial
 
+import numpy as np
 import pytest
 
 from clgcd import parallel
 from clgcd.errors import DomainError
-from clgcd.parallel import chunk_counts, map_chunks, merge, moments
+from clgcd.parallel import chunk_counts, map_chunks, merge, moments, part
 
 
 @pytest.mark.parametrize("total, size, expect", [
@@ -19,6 +20,29 @@ from clgcd.parallel import chunk_counts, map_chunks, merge, moments
 ])
 def test_chunk_counts(total, size, expect):
     assert list(chunk_counts(total, size)) == expect
+
+
+def test_part_sums_ints_exactly_and_floats_in_order():
+    # the float column is one where pairwise summation (np.sum) would
+    # round differently from a running +=
+    rng = np.random.default_rng(5)
+    floats = rng.standard_normal(1000) * 10.0 ** rng.integers(-8, 9, 1000)
+    running = running_sq = 0.0
+    for x in floats.tolist():
+        running += x
+        running_sq += x * x
+    assert float(np.sum(floats)) != running
+    big = np.array([(1 << 62) + 1, 1 << 62, 3], object)
+    ints = np.array([1, 2, 3], np.int64)
+    n, sums, squares = part(3, (big, ints), (floats,))
+    assert n == 3
+    assert sums == [(1 << 63) + 4, 6, running]
+    assert squares == [(1 << 124) * 2 + (1 << 63) + 10, 14, running_sq]
+    assert [type(x) for x in sums + squares] == [int, int, float] * 2
+    empty = np.array([], np.int64)
+    n, sums, squares = part(0, (empty,), (empty.astype(float),))
+    assert (n, sums, squares) == (0, [0, 0.0], [0, 0.0])
+    assert [type(x) for x in sums + squares] == [int, float] * 2
 
 
 def test_merge_keeps_integer_columns_exact():

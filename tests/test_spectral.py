@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ from clgcd.dynamics import psi, transfer_apply
 from clgcd.errors import ConvergenceError, DomainError
 from clgcd.spectral import (
     _GRIDS_KEPT,
+    GRID_MAX,
     CollocationGrid,
     TaylorEstimates,
     _branch_matrix,
@@ -34,6 +36,20 @@ def test_grid_nodes():
     assert grid.nodes[2] == pytest.approx(0.5, abs=1e-15)
     with pytest.raises(DomainError):
         CollocationGrid(1)
+
+
+def test_grid_size_is_capped_before_allocating():
+    # n = GRID_MAX + 1 would build a 4 MB temporary for its weights alone;
+    # the refusal comes first
+    assert CollocationGrid(GRID_MAX).n == GRID_MAX == 1024
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match="1025"):
+            CollocationGrid(GRID_MAX + 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_quadrature_weights_exact_on_polynomials():
