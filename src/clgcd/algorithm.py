@@ -244,16 +244,6 @@ _MATRIX_BITS = 61
 _bit_length = np.frompyfunc(int.bit_length, 1, 1)
 
 
-def _bitlen(x: np.ndarray) -> np.ndarray:
-    """int.bit_length of every entry of a positive int64 or object array."""
-    if x.dtype == object:           # a float would overflow above 2^1024
-        return _bit_length(x)
-    b = np.frexp(x.astype(np.float64))[1].astype(np.int64)
-    # above 2^53 the conversion can round up to the next power of two
-    b -= (x >> (b - 1)) == 0
-    return b
-
-
 # the biased exponent field of a float64 read as int64: v >> 52 less this
 _EXP_BIAS = 1023
 
@@ -263,6 +253,16 @@ def _float_exponent(x: np.ndarray) -> np.ndarray:
     e = x.view(np.int64) >> 52
     e -= _EXP_BIAS
     return e
+
+
+def _bitlen(x: np.ndarray) -> np.ndarray:
+    """int.bit_length of every entry of a positive int64 or object array."""
+    if x.dtype == object:           # a float would overflow above 2^1024
+        return _bit_length(x)
+    b = _float_exponent(x.astype(np.float64)) + 1
+    # above 2^53 the conversion can round up to the next power of two
+    b -= (x >> (b - 1)) == 0
+    return b
 
 
 def _v2(x: np.ndarray) -> np.ndarray:
@@ -299,12 +299,15 @@ def _digit(u: np.ndarray, w: np.ndarray):
 
 
 def _lockstep_passes(p, q, k, s, terminal):
-    """``_exponent_run`` (canonical) on every pair at once, in int64.
+    """The greedy ``_exponent_run`` on every pair at once, in int64.
 
-    All live pairs take one step per pass and finished pairs drop out.
-    Yields (indices of the live pairs, their digits) per pass and fills in
-    K, S and the terminal modulus.  While no pair has finished, nothing is
-    compacted or scattered: the live arrays and S run on in place.
+    All live pairs take one greedy step per pass and finished pairs drop
+    out.  Yields (indices of the live pairs, their greedy digits) per pass
+    and fills in the canonical K, S and terminal modulus: a pair that
+    finishes on a digit a >= 1 is relabelled (..., a) -> (..., a - 1, 0),
+    one more step, one shift less and half the modulus; p = q ends on
+    a = 0 and keeps it.  While no pair has finished, nothing is compacted
+    or scattered: the live arrays and S run on in place.
     """
     passes = 0
     live = np.arange(len(p))
@@ -313,25 +316,16 @@ def _lockstep_passes(p, q, k, s, terminal):
     while live.size:
         a, shifted = _digit(u, w)
         r = w - shifted
-        done = r == 0
-        finished = done.any()
-        if finished:
-            # canonical: a zero remainder under a >= 1 is taken with a - 1
-            rewrite = done & (a >= 1)
-            if rewrite.any():
-                a -= rewrite
-                shifted = u << a
-                r = w - shifted
-                done = r == 0
-                finished = done.any()
         yield live, a
         passes += 1
         sl += a
-        if finished:
+        done = r == 0
+        if done.any():
             index = live[done]
-            k[index] = passes
-            s[index] = sl[done]
-            terminal[index] = shifted[done]
+            end = np.minimum(a[done], 1)    # 1 where the relabel applies
+            k[index] = passes + end
+            s[index] = sl[done] - end
+            terminal[index] = shifted[done] >> end
             keep = ~done
             live, sl, r, shifted = live[keep], sl[keep], r[keep], shifted[keep]
         u, w = r, shifted
@@ -425,13 +419,16 @@ def _leading_word_run(pairs):
     v(terminal).  Pairs with w < 2^62 leave for ``_lockstep_passes``,
     which finishes them all at once.  The rest hand their leading 62-bit
     words to ``_certified_batch`` and apply its matrix once to the big
-    integers; a pair with no certified digit takes one ``cl_step``
-    instead.  Every applied batch is checked exactly, |det M| = 2^(shift
-    sum) on the int64 matrix (``_det_is_power_of_two``) and 0 < u' < w'
-    on the big integers, or ConsistencyError is raised.  The per-round
-    bookkeeping stays in int64: the common power of two comes from the
-    low 62-bit word of u | w, and one bit length of w serves both the
-    2^62 test and the word shift.  Returns K, S and terminal as lists.
+    integers; a pair with no certified digit finishes in
+    ``_exponent_run``.  The kernel holds no step rule of its own: the
+    digits come from ``_certified_batch``, ``_lockstep_passes`` or
+    ``_exponent_run``, and the canonical end from the last two.  Every
+    applied batch is checked exactly, |det M| = 2^(shift sum) on the
+    int64 matrix (``_det_is_power_of_two``) and 0 < u' < w' on the big
+    integers, or ConsistencyError is raised.  The per-round bookkeeping
+    stays in int64: the common power of two comes from the low 62-bit
+    word of u | w, and one bit length of w serves both the 2^62 test and
+    the word shift.  Returns K, S and terminal as lists.
     """
     n = len(pairs)
     k = np.zeros(n, np.int64)
@@ -470,24 +467,15 @@ def _leading_word_run(pairs):
                                    f"{pairs[live[np.argmax(bad)]]}")
         k[live] += count
         s[live] += shifts
-        stuck = np.flatnonzero(count == 0)
-        if stuck.size:
-            done = np.zeros(live.size, bool)
-            for j in stuck.tolist():
+        stuck = count == 0
+        if stuck.any():
+            for j in np.flatnonzero(stuck).tolist():
                 i = live[j]
-                a, r, (_, shifted) = cl_step(u[j], w[j])
-                if r == 0:
-                    if a:       # the canonical end: digits (a - 1, 0)
-                        a -= 1
-                        k[i] += 1
-                        shifted >>= 1
-                    terminal[i] = shifted << int(scale[i])
-                    done[j] = True
-                k[i] += 1
-                s[i] += a
-                u[j], w[j] = r, shifted
-            if done.any():
-                live, u, w = live[~done], u[~done], w[~done]
+                exps, end = _exponent_run(u[j], w[j])
+                k[i] += len(exps)
+                s[i] += sum(exps)
+                terminal[i] = end << int(scale[i])
+            live, u, w = live[~stuck], u[~stuck], w[~stuck]
     if finish:
         live, u, w = (np.concatenate(x) for x in zip(*finish))
         ks, ss, ts = (np.zeros(live.size, np.int64) for _ in range(3))

@@ -146,7 +146,7 @@ def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
 def quad_gl(f, a: float, b: float, panels: int = 64, order: int = 8) -> float:
     """Composite Gauss-Legendre quadrature used for density checks."""
     nodes, weights = _gauss_legendre(order)
-    edges = np.linspace(a, b, panels + 1)
+    edges = np.linspace(a, b, panels + 1).tolist()
     total = 0.0
     for lo, hi in zip(edges[:-1], edges[1:]):
         mid = (lo + hi) / 2.0
@@ -247,6 +247,9 @@ def birkhoff_estimates(bits: int, samples: int, seed: int,
     through the leading-word kernel, whose applied batches are checked
     exactly, and must end on a power-of-two terminal.
     """
+    if not (isinstance(bits, int) and isinstance(samples, int)):
+        raise DomainError(f"bits and samples must be integers, got "
+                          f"({bits!r}, {samples!r})")
     if bits < 16:
         raise DomainError(f"need bits >= 16 for asymptotic rates, got {bits}")
     if samples < 2:

@@ -95,6 +95,10 @@ class OmegaSpec:
     coprime_only: bool = True
 
     def __post_init__(self):
+        for name in ("N", "sample_count"):
+            if not isinstance(getattr(self, name), int):
+                raise DomainError(f"{name} must be an integer, got "
+                                  f"{getattr(self, name)!r}")
         if self.N < 2:
             raise DomainError(f"need N >= 2, got {self.N}")
         if self.mode not in ("exhaustive", "sampled"):
@@ -249,16 +253,20 @@ def _scalar_costs(p: list, q: list):
 def _lockstep_continuants(steps: list, k: np.ndarray):
     """Reduced continuant pair (X, Y) and content exponent E per pair.
 
-    ``steps`` are the (live indices, digits) of ``_lockstep_passes`` and
-    ``k`` the step counts it filled in.  The digits are read innermost
-    first, x, y = y, (x + y) << a, carried as x = X 2^E, y = Y 2^E with
-    the common power of two stripped every step.  The pairs run sorted by
-    K, descending and stable, so the pairs live at pass j are the first
-    ones: each pass places its digits in that order with one scatter and
-    updates a prefix of x, y and e in place.  The result comes back in
-    pair order.  Every suffix of a run is the run of one of its states,
-    so X and Y stay that state reduced, below q < 2^62; a step that would
-    leave that range raises instead of wrapping.
+    ``steps`` are the (live indices, greedy digits) of
+    ``_lockstep_passes`` and ``k`` the canonical step counts it filled in.
+    The greedy end (..., a) and its canonical relabel (..., a - 1, 0)
+    have the same continuant pair, and the relabel adds one to the K of
+    every pair with p < q, so K orders the pairs by their passes too.
+    The digits are read innermost first, x, y = y, (x + y) << a, carried
+    as x = X 2^E, y = Y 2^E with the common power of two stripped every
+    step.  The pairs run sorted by K, descending and stable, so the pairs
+    live at pass j are the first ones: each pass places its digits in
+    that order with one scatter and updates a prefix of x, y and e in
+    place.  The result comes back in pair order.  Every suffix of a run
+    is the run of one of its states, so X and Y stay that state reduced,
+    below q < 2^62; a step that would leave that range raises instead of
+    wrapping.
     """
     n = len(k)
     order = np.argsort(-k, kind="stable")
@@ -530,8 +538,11 @@ def _zeta(z: float, cutoff: int = 20_000) -> float:
     """zeta(z) by direct summation with Euler-Maclaurin tail.
 
     Three correction terms leave a truncation error below 1e-16 relative
-    for z >= 2 at this cutoff.
+    for z >= 2 at this cutoff.  Where 2^-z underflows, every term past
+    k = 1 is 0 and the sum is 1.0; the tail would take inf * 0 there.
     """
+    if 2.0 ** -z == 0.0:
+        return 1.0
     head = math.fsum(k ** -z for k in range(cutoff, 0, -1))
     # head includes k = cutoff, so the boundary term enters with minus
     m = float(cutoff)

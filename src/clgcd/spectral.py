@@ -179,10 +179,13 @@ def truncation_depth(t: float, v: float, tail_tol: float, sup_f: float = 1.0) ->
     """
     if not 0 < tail_tol < math.inf:
         raise DomainError(f"tail_tol must be positive and finite, got {tail_tol}")
-    if t - v <= 0:
-        raise DomainError("branch sum diverges for t - v <= 0")
-    ratio = 2.0 ** (v - t)
-    need = math.log2(max(sup_f, 1e-300) / (tail_tol * (1.0 - ratio))) / (t - v)
+    if not t - v > 0:               # NaN fails this too
+        raise DomainError(f"branch sum diverges for t - v <= 0, got {t - v}")
+    room = tail_tol * (1.0 - 2.0 ** (v - t))
+    need = math.log2(max(sup_f, 1e-300) / room) / (t - v) if room else math.inf
+    if not need < math.inf:
+        raise DomainError(f"no finite truncation depth reaches tail_tol = "
+                          f"{tail_tol} at t - v = {t - v}")
     return max(0, math.ceil(need)) + 8
 
 

@@ -554,6 +554,54 @@ def test_leading_word_run_edge_families():
     assert _leading_word_run(pairs) == _scalar_runs(pairs)
 
 
+def test_lockstep_passes_step_greedily_and_end_canonically():
+    # the passes yield the greedy digits; the canonical end is one relabel
+    # (..., a) -> (..., a - 1, 0) of K, S and the terminal, and p = q,
+    # which ends on a = 0, keeps its greedy end
+    rng = random.Random(16)
+    top = 1 << 62
+    pairs = [(p, q) for p, q in _edge_pairs() if q < top]
+    pairs += [(1, 1), (5, 5), (top - 1, top - 1), (1, 2), (1, top - 1)]
+    for bits in (2, 10, 40, 62):
+        for _ in range(50):
+            q = rng.getrandbits(bits) | 1 << (bits - 1)
+            pairs.append((rng.randrange(1, q), q))
+    p = np.array([p for p, _ in pairs], np.int64)
+    q = np.array([q for _, q in pairs], np.int64)
+    k, s, terminal = (np.zeros(len(pairs), np.int64) for _ in range(3))
+    digits = [[] for _ in pairs]
+    for live, a in algorithm._lockstep_passes(p, q, k, s, terminal):
+        for i, d in zip(live.tolist(), a.tolist()):
+            digits[i].append(d)
+    assert digits == [_exponent_run(p, q, canonical=False)[0]
+                      for p, q in pairs]
+    assert [k.tolist(), s.tolist(), terminal.tolist()] == \
+        list(_scalar_runs(pairs))
+
+
+def test_leading_word_run_leaves_uncertified_pairs_to_the_scalar_kernel(
+        monkeypatch):
+    # a pair whose leading words certify no digit finishes in
+    # _exponent_run; the leading-word kernel takes no step of its own
+    def no_step(*args):
+        raise AssertionError("cl_step on a kernel path")
+
+    finished = []
+    exponent_run = algorithm._exponent_run
+
+    def recording(u, w, *args):
+        finished.append((u, w))
+        return exponent_run(u, w, *args)
+
+    monkeypatch.setattr(algorithm, "cl_step", no_step)
+    monkeypatch.setattr(algorithm, "_exponent_run", recording)
+    pairs = [(1, 1 << 300), (3, 3 << 70), (5 ** 40, 5 ** 40)]
+    assert _leading_word_run(pairs) == _scalar_runs(pairs)
+    assert finished == pairs
+    edge = _edge_pairs()
+    assert _leading_word_run(edge) == _scalar_runs(edge)
+
+
 def test_leading_word_batches_stay_below_the_matrix_limit(monkeypatch):
     # at a low limit the guard cuts every batch short; the runs must not
     # change and no applied matrix may reach the limit

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -250,6 +251,18 @@ def test_dirichlet_output(capsys):
     assert out == DIRICHLET
 
 
+@pytest.mark.parametrize("s", ["1e200", "1e308"])
+def test_dirichlet_at_huge_s_prints_the_limit(capsys, s):
+    # zeta(2s - 1) and zeta(2s) are both 1.0 here, as at s = 200; the
+    # Euler-Maclaurin tail must not turn them into inf * 0 = nan
+    code, out, err = invoke(capsys, "dirichlet", "--s", s)
+    assert code == 0 and err == ""
+    assert "nan" not in out
+    lines = out.splitlines()
+    assert lines[1].endswith(" = 1.0000000000")
+    assert lines[2].startswith("deviation = +0.000e+00 ")
+
+
 def test_worstcase_output(capsys, tmp_path):
     out_file = tmp_path / "family.csv"
     code, out, _ = invoke(capsys, "worstcase", "--nmax", "8",
@@ -298,6 +311,7 @@ def test_domain_error_exits_1(capsys):
     ("dirichlet", "--s", "nan"),
     ("dirichlet", "--s", "inf"),
     ("constants", "--terms", "2000"),
+    ("eigen", "--t", "1", "--v", "0", "--tail-tol", "1e-320"),
 ])
 def test_out_of_range_floats_and_terms_exit_1(capsys, argv):
     # non-finite tolerances and exponents, and more series terms than the
@@ -360,3 +374,33 @@ def test_closed_stdout_exits_141_quietly():
         os.close(write_end)
     assert proc.returncode == 141
     assert proc.stderr == b""
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# each demo with the output that pins what it computes; a demo missing
+# here fails its run below
+DEMOS = {
+    "conjecture_two_routes": ("target B + D = 1.260725",),
+    "constants_and_spectrum": ("-d lambda/dt = 1.623523678",
+                               "d lambda/dv = 0.976936081"),
+    "cost_identities": ("(79089, 339566): digits (2, 3, 0, 1, 2, 1, 0, 0, 4, "
+                        "1, 0, 4, 1, 3, 2, 0, 1, 2, 0)",),
+    "invariant_density": ("integral of psi over [0, 1] = 1.000000000000001",),
+    "mean_value_experiment": ("N = 2000: 1216587 coprime pairs (all), "
+                              "log N = 7.601",),
+    "trace_walkthrough": ("K = 7, S = 6, terminal = (0, 8), odd gcd = 1",),
+}
+
+
+@pytest.mark.parametrize("name", sorted(
+    p.stem for p in (ROOT / "demos").glob("*.py")))
+def test_demo_runs(name):
+    assert name in DEMOS, "pin a line of the new demo's output in DEMOS"
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run([sys.executable, str(ROOT / "demos" / f"{name}.py")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    for line in DEMOS[name]:
+        assert line in proc.stdout

@@ -105,8 +105,9 @@ def test_orbit_domain():
 
 def test_density_normalized():
     # pinned: the default rule's value, which c06 and the spectral
-    # fixed-point checks see
-    assert quad_gl(psi, 0.0, 1.0) == 1.0000000000000007
+    # fixed-point checks see, as the annotated Python float
+    mass = quad_gl(psi, 0.0, 1.0)
+    assert type(mass) is float and mass == 1.0000000000000007
     assert psi(0.0) == pytest.approx(1 / (2 * LOG43), rel=1e-15)
     assert psi(1.0) == pytest.approx(1 / (6 * LOG43), rel=1e-15)
     assert psi(np.array([0.0, 1.0])).shape == (2,)
@@ -310,3 +311,6 @@ def test_birkhoff_domain():
         birkhoff_estimates(bits=8, samples=100, seed=0)
     with pytest.raises(DomainError):
         birkhoff_estimates(bits=32, samples=1, seed=0)
+    for bits, samples in ((256.0, 100), (32, 100.0)):
+        with pytest.raises(DomainError, match="integers"):
+            birkhoff_estimates(bits=bits, samples=samples, seed=0)

@@ -68,6 +68,11 @@ def test_omega_spec_validation():
     assert OmegaSpec(N=10_000, mode="exhaustive").N == EXHAUSTIVE_LIMIT
     with pytest.raises(DomainError):
         OmegaSpec(N=10, mode="sampled", sample_count=1)
+    # a float N reached _sample_chunk's int.bit_length as AttributeError
+    for kwargs in ({"N": 1e6}, {"N": 1000, "sample_count": 5e3},
+                   {"N": 100.0, "mode": "exhaustive"}):
+        with pytest.raises(DomainError, match="integer"):
+            OmegaSpec(**kwargs)
 
 
 def test_omega_sampled_reproducible():

@@ -1,9 +1,5 @@
 import math
-import os
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -109,6 +105,14 @@ def test_truncation_depth():
         truncation_depth(1.0, 0.0, 0.0)
     with pytest.raises(DomainError):
         truncation_depth(0.5, 0.5, 1e-10)
+    # a NaN gap passes a t - v <= 0 test, a subnormal tolerance sends the
+    # bound to inf, and at t - v = 1e-20 the ratio 2^(v-t) rounds to 1
+    for t, v, tail_tol in ((math.nan, 0.0, 1e-10), (1.0, math.nan, 1e-10),
+                           (1.0, 0.0, 1e-320), (1e-20, 0.0, 1e-10)):
+        with pytest.raises(DomainError):
+            truncation_depth(t, v, tail_tol)
+        with pytest.raises(DomainError):
+            transfer_apply(psi, t, v, tail_tol=tail_tol)
 
 
 def _looped_branch_sums(t, v, grid, a_max):
@@ -348,15 +352,3 @@ def test_taylor_estimates_match_the_matmul_reference(n):
     assert taylor_estimates(n=n) == TaylorEstimates(
         entropy_slope=entropy, shift_slope=shift, grid_size=n, a_max=a_max,
         residual=max(res_right, res_left), iterations=(it_right, it_left))
-
-
-def test_constants_demo_runs():
-    root = Path(__file__).resolve().parents[1]
-    path = [str(root / "src"), os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-    demo = root / "demos" / "constants_and_spectrum.py"
-    proc = subprocess.run([sys.executable, str(demo)], capture_output=True,
-                          text=True, env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert "-d lambda/dt = 1.623523678" in proc.stdout
-    assert "d lambda/dv = 0.976936081" in proc.stdout
