@@ -4,8 +4,8 @@ experiments, and the conjecture test.
 Every subcommand prints aligned text by default and JSON under ``--json``.
 Output is a pure function of argv (and the seed flags, which default to
 DEFAULT_SEED), so identical invocations are byte-identical.  Exit codes:
-0 success, 1 domain error, 2 usage error, 3 failed hard assertion, 141
-(128 + SIGPIPE, silent) when stdout's reader has gone, as under ``| head``.
+0 success, 1 domain error or unwritable --out, 2 usage error, 3 failed hard
+assertion, 141 (128 + SIGPIPE, silent) when stdout's reader has gone.
 """
 from __future__ import annotations
 
@@ -19,7 +19,8 @@ from fractions import Fraction
 
 from .algorithm import CANONICAL, GREEDY, cf_eval, cl_run, continuants
 from .constants import m_table
-from .errors import ConsistencyError, ConvergenceError, DomainError, PoleError
+from .errors import (ConsistencyError, ConvergenceError, DomainError,
+                     PoleError, require_int)
 from .experiments import (
     COST_KEYS,
     DEFAULT_SEED,
@@ -54,8 +55,11 @@ def _json_out(obj) -> str:
 
 
 def _write_csv(path: str, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerows(rows)
+    try:
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+    except OSError as exc:
+        raise DomainError(f"cannot write {path}: {exc.strerror}") from None
 
 
 # ---------------------------------------------------------------- trace
@@ -105,9 +109,7 @@ def _cmd_expand(args) -> str:
     trace = cl_run(p, q, args.convention)
     digits = trace.exponents
     if args.depth is not None:
-        if args.depth < 1:
-            raise DomainError("depth must be positive")
-        digits = digits[: args.depth]
+        digits = digits[: require_int("depth", args.depth, 1)]
     if args.json:
         return _json_out({
             "p": p,

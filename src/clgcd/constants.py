@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ConsistencyError, DomainError
+from .errors import ConsistencyError, require_int
 
 LN2 = math.log(2.0)
 LN3 = math.log(3.0)
@@ -44,12 +44,9 @@ def _alt_series(terms: int) -> float:
     Alternating with decreasing magnitude, so the truncation error is below
     the first omitted term 1/((terms+1)^2 2^(terms+1)).
     """
-    if not 1 <= terms <= SERIES_TERMS_MAX:
-        raise DomainError(
-            f"need 1 <= terms <= {SERIES_TERMS_MAX}, got {terms}")
     total = 0.0
     sign = -1.0
-    for k in range(1, terms + 1):
+    for k in range(1, require_int("terms", terms, 1, SERIES_TERMS_MAX) + 1):
         total += sign / (k * k * (1 << k))
         sign = -sign
     return total

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError, PoleError
+from .errors import PoleError, require_int
 
 #: Valuation assigned to 0; compares greater than every finite valuation.
 INF_VALUATION = math.inf
@@ -100,9 +100,7 @@ class IntMatrix2:
         As a transformation this is x -> 2^-a / (1 + x), the inverse branch of
         the shift-and-subtract map.
         """
-        if a < 0:
-            raise DomainError(f"shift exponent must be >= 0, got {a}")
-        p = 1 << a
+        p = 1 << require_int("a", a, 0)
         return IntMatrix2(0, 1, p, p)
 
     def __matmul__(self, other: "IntMatrix2") -> "IntMatrix2":

@@ -41,7 +41,7 @@ from numpy.polynomial.legendre import leggauss
 from .algorithm import _leading_word_run
 from .constants import LN2, LOG43
 from .dyadic import dyadic_valuation
-from .errors import ConsistencyError, DomainError
+from .errors import ConsistencyError, DomainError, require_int
 from .parallel import (chunk_counts, derive_seed, map_chunks, merge, moments,
                        part)
 from .spectral import (CollocationGrid, _branch_matrix, _shared_grid,
@@ -100,7 +100,7 @@ def orbit(x0, max_steps: int = 10_000) -> OrbitSample:
     if not 0 < x <= 1:
         raise DomainError(f"orbit needs 0 < x0 <= 1, got {x}")
     steps = []
-    for _ in range(max_steps):
+    for _ in range(require_int("max_steps", max_steps, 0)):
         a, x_next = t_apply(x)
         dlog = 2.0 * (dyadic_valuation(x.denominator)
                       - dyadic_valuation(x.numerator)) * LN2
@@ -145,8 +145,8 @@ def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
 
 def quad_gl(f, a: float, b: float, panels: int = 64, order: int = 8) -> float:
     """Composite Gauss-Legendre quadrature used for density checks."""
-    nodes, weights = _gauss_legendre(order)
-    edges = np.linspace(a, b, panels + 1).tolist()
+    nodes, weights = _gauss_legendre(require_int("order", order, 1))
+    edges = np.linspace(a, b, require_int("panels", panels, 1) + 1).tolist()
     total = 0.0
     for lo, hi in zip(edges[:-1], edges[1:]):
         mid = (lo + hi) / 2.0
@@ -247,13 +247,8 @@ def birkhoff_estimates(bits: int, samples: int, seed: int,
     through the leading-word kernel, whose applied batches are checked
     exactly, and must end on a power-of-two terminal.
     """
-    if not (isinstance(bits, int) and isinstance(samples, int)):
-        raise DomainError(f"bits and samples must be integers, got "
-                          f"({bits!r}, {samples!r})")
-    if bits < 16:
-        raise DomainError(f"need bits >= 16 for asymptotic rates, got {bits}")
-    if samples < 2:
-        raise DomainError("need at least 2 samples")
+    bits = require_int("bits", bits, 16)
+    samples = require_int("samples", samples, 2)
     chunks = list(chunk_counts(samples, _BIRKHOFF_CHUNK))
     groups = [(bits, seed, "birkhoff", chunks[i:i + _BIRKHOFF_GROUP])
               for i in range(0, len(chunks), _BIRKHOFF_GROUP)]

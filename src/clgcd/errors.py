@@ -1,8 +1,26 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer argument check."""
+import operator
 
 
 class DomainError(ValueError):
     """An argument is outside the documented domain of an operation."""
+
+
+def require_int(name: str, value, lo: int | None = None,
+                hi: int | None = None) -> int:
+    """``value`` as a Python int in [lo, hi] (``hi`` only with ``lo``).
+
+    Any integer passes, NumPy's and bool included; a float, even 48.0, and
+    an int out of range raise ``DomainError`` naming the argument.
+    """
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None
+    if lo is not None and value < lo or hi is not None and value > hi:
+        bound = f"{name} >= {lo}" if hi is None else f"{lo} <= {name} <= {hi}"
+        raise DomainError(f"need {bound}, got {value}")
+    return value
 
 
 class PoleError(ZeroDivisionError):

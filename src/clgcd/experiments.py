@@ -57,7 +57,7 @@ from .algorithm import (
 )
 from .constants import LN2, ConstantsTable, m_table
 from .dynamics import BirkhoffReport, birkhoff_estimates
-from .errors import ConsistencyError, DomainError
+from .errors import ConsistencyError, DomainError, require_int
 from .parallel import (chunk_counts, derive_seed, map_chunks, merge, moments,
                        part)
 
@@ -95,20 +95,13 @@ class OmegaSpec:
     coprime_only: bool = True
 
     def __post_init__(self):
-        for name in ("N", "sample_count"):
-            if not isinstance(getattr(self, name), int):
-                raise DomainError(f"{name} must be an integer, got "
-                                  f"{getattr(self, name)!r}")
-        if self.N < 2:
-            raise DomainError(f"need N >= 2, got {self.N}")
         if self.mode not in ("exhaustive", "sampled"):
             raise DomainError(f"mode must be exhaustive or sampled, got {self.mode!r}")
-        if self.mode == "exhaustive" and self.N > EXHAUSTIVE_LIMIT:
-            raise DomainError(
-                f"exhaustive enumeration is capped at N = {EXHAUSTIVE_LIMIT}"
-            )
-        if self.mode == "sampled" and self.sample_count < 2:
-            raise DomainError("sampled mode needs sample_count >= 2")
+        sampled = self.mode == "sampled"
+        object.__setattr__(self, "N", require_int(
+            "N", self.N, 2, None if sampled else EXHAUSTIVE_LIMIT))
+        object.__setattr__(self, "sample_count", require_int(
+            "sample_count", self.sample_count, 2 if sampled else None))
 
 
 def _sample_chunk(n: int, seed: int, index: int, count: int,
@@ -488,8 +481,7 @@ def slope_estimate(N_max: int, sample_count: int = 1_000_000,
     substreams.  Requires N_max >= 2^16 so the lower rung is itself
     asymptotic enough to difference against.
     """
-    if N_max < 1 << 16:
-        raise DomainError(f"need N_max >= 2^16 for a slope ladder, got {N_max}")
+    N_max = require_int("N_max", N_max, 1 << 16)
     log_step = math.log(16.0)
     rungs = []
     for i, n in enumerate((N_max // 16, N_max)):
@@ -581,8 +573,7 @@ def dirichlet_check(s: float = 2.0, N: int = 10_000) -> DirichletReport:
     if not 1.5 <= s < math.inf:
         raise DomainError(f"need a finite s >= 1.5 for a convergent check, "
                           f"got {s}")
-    if not 2 <= N <= DIRICHLET_LIMIT:
-        raise DomainError(f"need 2 <= N <= {DIRICHLET_LIMIT}, got {N}")
+    N = require_int("N", N, 2, DIRICHLET_LIMIT)
     phi = _totients(N)
     z = 2.0 * s
     partial = math.fsum(phi[q] * q ** -z for q in range(N, 0, -1))
@@ -631,8 +622,7 @@ def worstcase_scan(n_max: int = 64) -> WorstCaseReport:
     differ by exactly one step on this family.  The S fit is quadratic,
     so n_max must be at least 4: three points or more.
     """
-    if not 4 <= n_max <= 512:
-        raise DomainError(f"need 4 <= n_max <= 512, got {n_max}")
+    n_max = require_int("n_max", n_max, 4, 512)
     rows = []
     for n in range(2, n_max + 1):
         q = (1 << n) - 1
@@ -719,8 +709,8 @@ def conjecture_check(bits: int = 256, trajectory_samples: int = 10_000,
 
     The two estimators share nothing: one averages dyadic valuations
     along long trajectories, the other differences ensemble means across
-    a factor-16 ladder.  Precomputed reports can be passed in to reuse
-    expensive runs.
+    a factor-16 ladder.  A precomputed ``birkhoff`` or ``slope`` report
+    reuses an expensive run; its size arguments then go unused.
     """
     table = m_table()
     target = table.mean_costs["rho"]

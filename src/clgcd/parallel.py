@@ -18,10 +18,11 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 
-from .errors import DomainError
+from .errors import require_int
 
 
 def derive_seed(seed: int, label: str, index: int) -> int:
+    seed = require_int("seed", seed)
     digest = hashlib.sha256(f"{seed}:{label}:{index}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
 
@@ -85,8 +86,7 @@ def map_chunks(worker, chunks, threads: int = 1) -> list:
     worker process that dies raises ``BrokenProcessPool`` instead of
     hanging the map.  ``threads`` below 1 raises ``DomainError``.
     """
-    if threads < 1:
-        raise DomainError(f"need threads >= 1, got {threads}")
+    threads = require_int("threads", threads, 1)
     chunks = list(chunks)
     processes = min(threads, len(chunks), os.cpu_count() or 1)
     run = partial(_run_chunk, worker)

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import LN2
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, require_int
 
 #: admissible parameter box around (1, 0); the branch sum converges for
 #: t - v > 0 but estimates degrade near the boundary, so a margin is enforced
@@ -65,9 +65,7 @@ class CollocationGrid:
     """
 
     def __init__(self, n: int):
-        if not 2 <= n <= GRID_MAX:
-            raise DomainError(f"grid needs 2 to {GRID_MAX} nodes, got {n}")
-        self.n = n
+        self.n = n = require_int("n", n, 2, GRID_MAX)
         N = n - 1
         theta = np.arange(n) * (math.pi / N)
         self.nodes = (1.0 - np.cos(theta)) / 2.0
@@ -118,7 +116,8 @@ class CollocationGrid:
         return float(self.quad_weights.dot(np.asarray(samples, dtype=float)))
 
 
-@functools.lru_cache(maxsize=_GRIDS_KEPT)
+# typed: n = 48.0 must reach the grid's check, not 48's cached grid
+@functools.lru_cache(maxsize=_GRIDS_KEPT, typed=True)
 def _shared_grid(n: int) -> CollocationGrid:
     """The solvers' one grid of size n, cardinal matrices included."""
     return CollocationGrid(n)
@@ -265,7 +264,7 @@ def dominant_eigen(matrix: np.ndarray, grid: CollocationGrid,
     vec = np.full(n, 1.0 / sqrt(n))
     lam_prev = math.inf
     lam = math.nan
-    for it in range(1, max_iter + 1):
+    for it in range(1, require_int("max_iter", max_iter, 1) + 1):
         w = apply(vec)
         lam = float(vec.dot(w)) / float(vec.dot(vec))
         nrm = sqrt(w.dot(w))       # np.linalg.norm(w), bit for bit
@@ -355,7 +354,7 @@ def taylor_estimates(n: int = 48, tail_tol: float = 1e-14) -> TaylorEstimates:
     return TaylorEstimates(
         entropy_slope=entropy,
         shift_slope=shift,
-        grid_size=n,
+        grid_size=grid.n,
         a_max=a_max,
         residual=max(right.residual, left.residual),
         iterations=(right.iterations, left.iterations),

@@ -275,6 +275,20 @@ def test_worstcase_output(capsys, tmp_path):
     assert len(out_file.read_text().strip().splitlines()) == 8
 
 
+@pytest.mark.parametrize("argv", [
+    ("worstcase", "--nmax", "8"),
+    ("experiment", "--nmax", "100", "--exhaustive"),
+    ("experiment", "--nmax", "65536", "--samples", "100", "--slope"),
+])
+@pytest.mark.parametrize("target", ["missing/x.csv", "."])
+def test_unwritable_out_exits_1(capsys, tmp_path, argv, target):
+    # a missing directory or a directory as the file was a traceback
+    code, out, err = invoke(capsys, *argv, "--out", str(tmp_path / target))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: cannot write ") and err.count("\n") == 1
+
+
 def test_worstcase_json(capsys):
     code, out, _ = invoke(capsys, "worstcase", "--nmax", "6", "--json")
     assert code == 0
@@ -312,10 +326,23 @@ def test_domain_error_exits_1(capsys):
     ("dirichlet", "--s", "inf"),
     ("constants", "--terms", "2000"),
     ("eigen", "--t", "1", "--v", "0", "--tail-tol", "1e-320"),
+    ("constants", "--terms", "0"),
+    ("expand", "--rational", "31/75", "--depth", "0"),
+    ("eigen", "--t", "1", "--v", "0", "--grid", "1"),
+    ("taylor", "--grid", "1"),
+    ("experiment", "--nmax", "1"),
+    ("experiment", "--nmax", "100", "--samples", "1"),
+    ("experiment", "--nmax", "20000", "--exhaustive"),
+    ("experiment", "--nmax", "1000", "--slope"),
+    ("dirichlet", "--nmax", "1"),
+    ("worstcase", "--nmax", "3"),
+    ("conjecture", "--bits", "8"),
+    ("conjecture", "--samples", "1"),
 ])
 def test_out_of_range_floats_and_terms_exit_1(capsys, argv):
-    # non-finite tolerances and exponents, and more series terms than the
-    # float range allows, are domain errors, not tracebacks or nan output
+    # non-finite tolerances and exponents, more series terms than the
+    # float range allows, and sizes and counts out of their ranges are
+    # domain errors, not tracebacks or nan output
     code, out, err = invoke(capsys, *argv)
     assert code == 1
     assert out == ""

@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from scipy.special import spence
 
@@ -89,13 +90,14 @@ def test_series_truncation():
 def test_series_terms_capped_below_float_overflow():
     # the cap keeps k^2 2^k a float; every term count up to it still sums
     assert abs(const_E(SERIES_TERMS_MAX) - const_E(64)) <= series_tail_bound(64)
-    for terms in (SERIES_TERMS_MAX + 1, 2000, 10 ** 6):
-        with pytest.raises(DomainError):
+    for terms in (SERIES_TERMS_MAX + 1, 2000, 10 ** 6, 64.0):
+        with pytest.raises(DomainError, match="terms"):
             _alt_series(terms)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="terms"):
             const_E(terms)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="terms"):
             m_table(terms)
+    assert m_table(np.int64(64)) == m_table(64)
 
 
 def test_h_internal_cross_check():

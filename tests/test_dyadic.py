@@ -89,8 +89,9 @@ def test_g2_matches_definition(y):
 def test_step_matrix():
     assert IntMatrix2.step_matrix(0) == IntMatrix2(0, 1, 1, 1)
     assert IntMatrix2.step_matrix(2) == IntMatrix2(0, 1, 4, 4)
-    with pytest.raises(DomainError):
-        IntMatrix2.step_matrix(-1)
+    for a in (-1, 2.0):
+        with pytest.raises(DomainError, match=r"^(need )?a\b"):
+            IntMatrix2.step_matrix(a)
 
 
 @given(st.integers(min_value=0, max_value=30))

@@ -101,6 +101,10 @@ def test_orbit_domain():
         orbit(Fraction(3, 2))
     with pytest.raises(DomainError):
         orbit(0)
+    for max_steps in (-1, 4.0):
+        with pytest.raises(DomainError, match="max_steps"):
+            orbit(Fraction(1, 3), max_steps)
+    assert orbit(Fraction(31, 75), np.int64(4)) == orbit(Fraction(31, 75), 4)
 
 
 def test_density_normalized():
@@ -108,6 +112,12 @@ def test_density_normalized():
     # fixed-point checks see, as the annotated Python float
     mass = quad_gl(psi, 0.0, 1.0)
     assert type(mass) is float and mass == 1.0000000000000007
+    assert quad_gl(psi, 0.0, 1.0, np.int64(64), np.int64(8)) == mass
+    # panels = 0 or -1 summed no panel and returned 0.0
+    for kwargs in ({"panels": 0}, {"panels": -1}, {"panels": 64.0},
+                   {"order": 0}, {"order": 8.0}):
+        with pytest.raises(DomainError, match=next(iter(kwargs))):
+            quad_gl(psi, 0.0, 1.0, **kwargs)
     assert psi(0.0) == pytest.approx(1 / (2 * LOG43), rel=1e-15)
     assert psi(1.0) == pytest.approx(1 / (6 * LOG43), rel=1e-15)
     assert psi(np.array([0.0, 1.0])).shape == (2,)
@@ -312,5 +322,12 @@ def test_birkhoff_domain():
     with pytest.raises(DomainError):
         birkhoff_estimates(bits=32, samples=1, seed=0)
     for bits, samples in ((256.0, 100), (32, 100.0)):
-        with pytest.raises(DomainError, match="integers"):
+        with pytest.raises(DomainError, match="must be an integer"):
             birkhoff_estimates(bits=bits, samples=samples, seed=0)
+    with pytest.raises(DomainError, match="seed"):
+        birkhoff_estimates(bits=32, samples=100, seed=1.0)
+    # NumPy integers stand for their ints; 1 << (bits - 1) stays exact
+    ref = birkhoff_estimates(bits=80, samples=64, seed=1).to_json_dict()
+    for bits, samples, seed in ((np.int64(80), np.int64(64), 1),
+                                (80, 64, np.int64(1)), (80, 64, True)):
+        assert birkhoff_estimates(bits, samples, seed).to_json_dict() == ref

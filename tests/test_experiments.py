@@ -73,6 +73,18 @@ def test_omega_spec_validation():
                    {"N": 100.0, "mode": "exhaustive"}):
         with pytest.raises(DomainError, match="integer"):
             OmegaSpec(**kwargs)
+    # a NumPy integer stands for its int, in the report too
+    spec = OmegaSpec(N=np.int64(1000), sample_count=np.int64(500))
+    assert type(spec.N) is int and type(spec.sample_count) is int
+    assert (mean_costs(spec).to_json_dict()
+            == mean_costs(OmegaSpec(N=1000, sample_count=500)).to_json_dict())
+    # the seed hashed as text: 1.0 and True drew streams of their own
+    pairs = list(omega_iter(OmegaSpec(N=1000, sample_count=50, seed=1)))
+    for seed in (True, np.int64(1)):
+        assert list(omega_iter(
+            OmegaSpec(N=1000, sample_count=50, seed=seed))) == pairs
+    with pytest.raises(DomainError, match="seed"):
+        list(omega_iter(OmegaSpec(N=1000, sample_count=50, seed=1.0)))
 
 
 def test_omega_sampled_reproducible():
@@ -510,10 +522,11 @@ def test_dirichlet_converges():
 def test_dirichlet_domain():
     with pytest.raises(DomainError):
         dirichlet_check(s=1.0)
-    with pytest.raises(DomainError):
-        dirichlet_check(N=1)
-    with pytest.raises(DomainError):
-        dirichlet_check(N=200_000)
+    for N in (1, 200_000, 1e4, 100.0):
+        with pytest.raises(DomainError, match="N"):
+            dirichlet_check(N=N)
+    assert (dirichlet_check(N=np.int64(1000)).to_json_dict()
+            == dirichlet_check(N=1000).to_json_dict())
 
 
 def test_worstcase_family_exact_counts():
@@ -538,13 +551,17 @@ def test_worstcase_domain():
         with pytest.raises(DomainError):
             worstcase_scan(n_max)
     assert len(worstcase_scan(4).rows) == 3
-    with pytest.raises(DomainError):
-        worstcase_scan(513)
+    for n_max in (513, 8.0):
+        with pytest.raises(DomainError, match="n_max"):
+            worstcase_scan(n_max)
+    assert worstcase_scan(np.int64(8)) == worstcase_scan(8)
 
 
 def test_slope_ladder_validation():
-    with pytest.raises(DomainError):
-        slope_estimate(10_000)
+    # a float N_max was reported as a non-integer N of a rung
+    for N_max in (10_000, 2.0 ** 17):
+        with pytest.raises(DomainError, match="N_max"):
+            slope_estimate(N_max)
 
 
 @pytest.fixture(scope="module")

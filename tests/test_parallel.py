@@ -111,10 +111,11 @@ def test_map_chunks_pool_is_capped(monkeypatch, threads, chunks, cpus, sizes):
     assert seen == sizes
 
 
-@pytest.mark.parametrize("threads", [0, -2])
+@pytest.mark.parametrize("threads", [0, -2, 1.0, 2.0])
 def test_map_chunks_rejects_threads_below_one(threads):
     with pytest.raises(DomainError, match="threads"):
         map_chunks(abs, range(4), threads)
+    assert map_chunks(abs, range(-3, 0), np.int64(1)) == [3, 2, 1]
 
 
 def _fail_on_chunk_3(chunk):

@@ -38,6 +38,17 @@ def test_grid_size_is_capped_before_allocating():
     # n = GRID_MAX + 1 would build a 4 MB temporary for its weights alone;
     # the refusal comes first
     assert CollocationGrid(GRID_MAX).n == GRID_MAX == 1024
+    # a float n was a TypeError from NumPy, or 48's cached grid
+    ref = solve_operator(1.0, 0.0, n=48)
+    for call in (lambda: CollocationGrid(48.0),
+                 lambda: solve_operator(1.0, 0.0, n=48.0),
+                 lambda: taylor_estimates(n=48.0)):
+        with pytest.raises(DomainError, match="n must be an integer"):
+            call()
+    res = solve_operator(1.0, 0.0, n=np.int64(48))
+    assert res.to_json_dict() == ref.to_json_dict()
+    assert np.array_equal(res.eigenfunction, ref.eigenfunction)
+    assert taylor_estimates(n=np.int64(32)) == taylor_estimates(n=32)
     tracemalloc.start()
     try:
         with pytest.raises(DomainError, match="1025"):
@@ -234,6 +245,9 @@ def test_power_iteration_failure_modes():
     with pytest.raises(ConvergenceError) as exc_info:
         dominant_eigen(np.array([[2.0, 1.0], [1.0, 2.0]]), grid, max_iter=1)
     assert exc_info.value.result is not None
+    for max_iter in (0, 1.0):
+        with pytest.raises(DomainError, match="max_iter"):
+            dominant_eigen(np.eye(2), grid, max_iter=max_iter)
 
 
 def _fresh_grid(n):
