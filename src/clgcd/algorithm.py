@@ -298,37 +298,38 @@ def _digit(u: np.ndarray, w: np.ndarray):
     return a, shifted
 
 
-def _lockstep_passes(p, q, k, s, terminal):
+def _lockstep_passes(p, q):
     """The greedy ``_exponent_run`` on every pair at once, in int64.
 
     All live pairs take one greedy step per pass and finished pairs drop
-    out.  Yields (indices of the live pairs, their greedy digits) per pass
-    and fills in the canonical K, S and terminal modulus: a pair that
-    finishes on a digit a >= 1 is relabelled (..., a) -> (..., a - 1, 0),
-    one more step, one shift less and half the modulus; p = q ends on
-    a = 0 and keeps it.  While no pair has finished, nothing is compacted
-    or scattered: the live arrays and S run on in place.
+    out.  Returns the canonical K, S and terminal modulus of every pair
+    and the passes, one (indices of the live pairs, their greedy digits)
+    each: a pair that finishes on a digit a >= 1 is relabelled (..., a) ->
+    (..., a - 1, 0), one more step, one shift less and half the modulus;
+    p = q ends on a = 0 and keeps it.  While no pair has finished, nothing
+    is compacted or scattered: the live arrays and S run on in place.
     """
-    passes = 0
+    k, s, terminal = (np.zeros(len(p), np.int64) for _ in range(3))
+    passes = []
     live = np.arange(len(p))
     sl = np.zeros(len(p), np.int64)     # S of the live pairs
     u, w = p, q
     while live.size:
         a, shifted = _digit(u, w)
         r = w - shifted
-        yield live, a
-        passes += 1
+        passes.append((live, a))
         sl += a
         done = r == 0
         if done.any():
             index = live[done]
             end = np.minimum(a[done], 1)    # 1 where the relabel applies
-            k[index] = passes + end
+            k[index] = len(passes) + end
             s[index] = sl[done] - end
             terminal[index] = shifted[done] >> end
             keep = ~done
             live, sl, r, shifted = live[keep], sl[keep], r[keep], shifted[keep]
         u, w = r, shifted
+    return k, s, terminal, passes
 
 
 def _certified_batch(uh: np.ndarray, wh: np.ndarray) -> np.ndarray:
@@ -410,8 +411,9 @@ def _det_is_power_of_two(m: np.ndarray, s: np.ndarray) -> np.ndarray:
             | ((top == -1) & (low == _BATCH_LIMIT - power)))
 
 
-def _leading_word_run(pairs):
-    """``_exponent_run`` (canonical) on pairs of any size: K, S, terminal.
+def _leading_word_run(p, q):
+    """``_exponent_run`` (canonical) on the p and q columns of pairs of any
+    size: K, S, terminal.
 
     Lehmer's leading-word method in rounds, on object arrays of the big
     integers.  Every (u, w) first loses its common power of two: the step
@@ -428,17 +430,17 @@ def _leading_word_run(pairs):
     integers, or ConsistencyError is raised.  The per-round bookkeeping
     stays in int64: the common power of two comes from the low 62-bit
     word of u | w, and one bit length of w serves both the 2^62 test and
-    the word shift.  Returns K, S and terminal as lists.
+    the word shift.  Returns K and S as int64 arrays and the terminal as
+    an object array.
     """
-    n = len(pairs)
+    n = len(p)
     k = np.zeros(n, np.int64)
     s = np.zeros(n, np.int64)
     scale = np.zeros(n, np.int64)
     terminal = np.zeros(n, object)
     finish = []
     live = np.arange(n)
-    u = np.array([p for p, _ in pairs], object)
-    w = np.array([q for _, q in pairs], object)
+    u, w = np.array(p, object), np.array(q, object)
     while live.size:
         z = u | w
         low = (z & _WORD_MASK).astype(np.int64)
@@ -463,8 +465,9 @@ def _leading_word_run(pairs):
         bad = (~_det_is_power_of_two(batch[:4], shifts)
                | (u <= 0) | (u >= w)) & (count > 0)
         if bad.any():
+            i = live[np.argmax(bad)]
             raise ConsistencyError("leading-word batch broke the run of "
-                                   f"{pairs[live[np.argmax(bad)]]}")
+                                   f"{(p[i], q[i])}")
         k[live] += count
         s[live] += shifts
         stuck = count == 0
@@ -478,15 +481,12 @@ def _leading_word_run(pairs):
             live, u, w = live[~stuck], u[~stuck], w[~stuck]
     if finish:
         live, u, w = (np.concatenate(x) for x in zip(*finish))
-        ks, ss, ts = (np.zeros(live.size, np.int64) for _ in range(3))
-        # run the passes for K, S and the terminal; the digits are not kept
-        for _ in _lockstep_passes(u.astype(np.int64), w.astype(np.int64),
-                                  ks, ss, ts):
-            pass
+        ks, ss, ts, _ = _lockstep_passes(u.astype(np.int64),
+                                         w.astype(np.int64))
         k[live] += ks
         s[live] += ss
         terminal[live] = ts.astype(object) << scale[live].astype(object)
-    return k.tolist(), s.tolist(), terminal.tolist()
+    return k, s, terminal
 
 
 def cf_eval(exponents) -> Fraction:

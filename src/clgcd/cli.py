@@ -5,7 +5,9 @@ Every subcommand prints aligned text by default and JSON under ``--json``.
 Output is a pure function of argv (and the seed flags, which default to
 DEFAULT_SEED), so identical invocations are byte-identical.  Exit codes:
 0 success, 1 domain error or unwritable --out, 2 usage error, 3 failed hard
-assertion, 141 (128 + SIGPIPE, silent) when stdout's reader has gone.
+assertion, 141 (128 + SIGPIPE, silent) when stdout's reader has gone.  An
+--out that is a directory or lies in a missing directory is refused before
+the run; any other failure to write it is reported after.
 """
 from __future__ import annotations
 
@@ -52,6 +54,16 @@ def _val(x) -> str:
 
 def _json_out(obj) -> str:
     return json.dumps(obj, indent=2)
+
+
+def _check_out(path: str) -> None:
+    """Refuse an --out path that cannot be written before the run, which
+    may be long; the file itself is neither created nor truncated here."""
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        raise DomainError(f"cannot write {path}: Is a directory")
+    if not os.path.isdir(parent):
+        raise DomainError(f"cannot write {path}: no directory {parent}")
 
 
 def _write_csv(path: str, rows) -> None:
@@ -248,6 +260,8 @@ def _slope_text(rep) -> str:
 
 
 def _cmd_experiment(args) -> str:
+    if args.out:
+        _check_out(args.out)
     if args.slope:
         if args.exhaustive:
             raise DomainError("the slope ladder samples; drop --exhaustive")
@@ -288,6 +302,8 @@ def _cmd_dirichlet(args) -> str:
 
 
 def _cmd_worstcase(args) -> str:
+    if args.out:
+        _check_out(args.out)
     rep = worstcase_scan(args.nmax)
     if args.out:
         _write_csv(args.out, rep.to_csv_rows())

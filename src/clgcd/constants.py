@@ -122,6 +122,7 @@ class ConstantsTable:
 
 
 def m_table(terms: int = 64) -> ConstantsTable:
+    terms = require_int("terms", terms, 1, SERIES_TERMS_MAX)
     E = const_E(terms)
     D = const_D()
     A = E - D

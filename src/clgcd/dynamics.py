@@ -16,34 +16,34 @@ the spectral module.
 high random rationals: shift rate, entropy, dyadic growth of the continuant
 gcd, and the valuation rate of the running gcd from the trace table.  The
 orbits run through ``algorithm._leading_word_run``, the leading-word
-kernel, which gives K, S and the terminal modulus of ``_exponent_run``
-bit for bit and checks every batch it applies: |det M| = 2^(shift sum),
-decided exactly in int64, and 0 < u' < w' on the big integers.  Every
-orbit's terminal must be a power of two.  Chunks of orbits fix the seeds
-and the order of the sums; a pool task runs a fixed group of chunks
-through the kernel in one lockstep.  The pairs are drawn by replaying
-``random.Random.randrange`` through the bound ``getrandbits`` (the same
-stream, without the per-call overhead), and each chunk's column sums
-run in orbit order, as a running sum would.
+kernel, which takes the p and q columns and gives K, S and the terminal
+modulus of ``_exponent_run`` bit for bit as arrays.  It checks every batch
+it applies: |det M| = 2^(shift sum), decided exactly in int64, and
+0 < u' < w' on the big integers.  Every orbit's terminal must be a power
+of two, checked on the whole terminal column as the ensemble's cost stage
+checks its own.  Chunks of orbits fix the seeds and the order of the sums;
+a pool task runs a fixed group of chunks through the kernel in one
+lockstep.  The pairs are drawn by ``parallel.sample_pairs``, the
+ensembles' sampler, with q uniform on [2^(bits-1), 2^bits - 1] and p on
+[1, q - 1], both redrawn until coprime; each chunk's column sums run in
+orbit order, as a running sum would.
 """
 from __future__ import annotations
 
 import functools
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .algorithm import _leading_word_run
+from .algorithm import _leading_word_run, _v2
 from .constants import LN2, LOG43
 from .dyadic import dyadic_valuation
 from .errors import ConsistencyError, DomainError, require_int
-from .parallel import (chunk_counts, derive_seed, map_chunks, merge, moments,
-                       part)
+from .parallel import (chunk_counts, map_chunks, merge, moments, part,
+                       sample_pairs)
 from .spectral import (CollocationGrid, _branch_matrix, _shared_grid,
                        truncation_depth)
 
@@ -196,39 +196,21 @@ class BirkhoffReport:
 
 def _birkhoff_group(args):
     bits, seed, label, chunks = args
-    lo = 1 << (bits - 1)
-    pairs = []
+    p, q = [], []
     for index, count in chunks:
-        # q = randrange(lo, 2 lo) and p = randrange(1, q), redrawn until
-        # coprime, drawn the way random.Random draws them: getrandbits(k),
-        # k the bit length of the range width, redrawn until below it
-        rng = random.Random(derive_seed(seed, label, index))
-        getrandbits = rng.getrandbits
-        for _ in range(count):
-            q = getrandbits(bits)
-            while q >= lo:
-                q = getrandbits(bits)
-            q += lo
-            width = q - 1
-            k = width.bit_length()
-            while True:
-                p = getrandbits(k)
-                while p >= width:
-                    p = getrandbits(k)
-                p += 1
-                # two even numbers are not coprime; skip their gcd
-                if (p | q) & 1 and gcd(p, q) == 1:
-                    break
-            pairs.append((p, q))
-    ks, ss, terminals = _leading_word_run(pairs)
-    vts = [dyadic_valuation(t) for t in terminals]
-    if any(t != 1 << vt for t, vt in zip(terminals, vts)):
+        ps, qs = sample_pairs(seed, label, index, count, 1 << (bits - 1),
+                              (1 << bits) - 1, True)
+        p += ps
+        q += qs
+    k, s, terminal = _leading_word_run(p, q)
+    vt = _v2(terminal)
+    if (terminal >> vt != 1).any():
         raise ConsistencyError("coprime input left an odd factor")
-    k, s, vt = (np.array(x, float) for x in (ks, ss, vts))
+    k, s, vt = (x.astype(float) for x in (k, s, vt))
     # terminal modulus times continuant gcd is 2^S, so val(g) = S - vt
     rows = np.array([
         s / k,
-        2.0 * np.array([math.log(q) for _, q in pairs]) / k,
+        2.0 * np.array([math.log(x) for x in q]) / k,
         2.0 * (s - vt) * LN2 / k,
         vt / k,
     ])
@@ -243,12 +225,15 @@ def birkhoff_estimates(bits: int, samples: int, seed: int,
     with a ``bits``-bit denominator.  Deterministic in ``seed`` regardless of
     ``threads``: chunks of ``_BIRKHOFF_CHUNK`` orbits fix the seeds and the
     per-chunk sums, merged in chunk order; groups of ``_BIRKHOFF_GROUP``
-    chunks fix the lockstep, one group per pool task.  Each orbit runs
-    through the leading-word kernel, whose applied batches are checked
-    exactly, and must end on a power-of-two terminal.
+    chunks fix the lockstep, one group per pool task.  Each chunk draws its
+    pairs with ``parallel.sample_pairs``, as an ensemble chunk does, and a
+    group hands their p and q columns to the leading-word kernel, whose
+    applied batches are checked exactly; every terminal must be a power
+    of two.
     """
     bits = require_int("bits", bits, 16)
     samples = require_int("samples", samples, 2)
+    seed = require_int("seed", seed)
     chunks = list(chunk_counts(samples, _BIRKHOFF_CHUNK))
     groups = [(bits, seed, "birkhoff", chunks[i:i + _BIRKHOFF_GROUP])
               for i in range(0, len(chunks), _BIRKHOFF_GROUP)]

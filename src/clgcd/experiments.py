@@ -10,8 +10,9 @@ and so cancels from slope estimates; comparisons against exhaustive runs
 should therefore be made on slopes or on cost ratios, not on raw means.
 
 Sampling is chunked, with each chunk's generator seeded by
-(seed, "omega", chunk index).  Results are bitwise reproducible for a
-given seed no matter how many worker processes are used.
+(seed, "omega", chunk index) and drawn by ``parallel.sample_pairs``, the
+sampler the Birkhoff orbits share.  Results are bitwise reproducible for
+a given seed no matter how many worker processes are used.
 
 The ``theory`` column attached to reports is the leading-order prediction
 M(c) * (2/H) * log N.  Its error term is O(1) in N, so ``deviation`` does
@@ -42,7 +43,6 @@ does, and added one by one in pair order.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
@@ -59,7 +59,7 @@ from .constants import LN2, ConstantsTable, m_table
 from .dynamics import BirkhoffReport, birkhoff_estimates
 from .errors import ConsistencyError, DomainError, require_int
 from .parallel import (chunk_counts, derive_seed, map_chunks, merge, moments,
-                       part)
+                       part, sample_pairs)
 
 # A chunk part's columns are K, S, v(g), v(Q) (ints) and ln Q, ln R
 # (floats); each cost reads one column at one scale, sigma being S in nats.
@@ -102,37 +102,7 @@ class OmegaSpec:
             "N", self.N, 2, None if sampled else EXHAUSTIVE_LIMIT))
         object.__setattr__(self, "sample_count", require_int(
             "sample_count", self.sample_count, 2 if sampled else None))
-
-
-def _sample_chunk(n: int, seed: int, index: int, count: int,
-                  coprime_only: bool) -> tuple[list, list]:
-    # q = randint(2, n) and p = randint(1, q - 1), drawn the way
-    # random.Random draws them: getrandbits(k), k the bit length of the
-    # range width, redrawn until below the width.  Same stream, 3x faster.
-    # Returns the p and q columns of the chunk.
-    getrandbits = random.Random(derive_seed(seed, "omega", index)).getrandbits
-    gcd = math.gcd
-    width = n - 1
-    bits = width.bit_length()
-    ps, qs = [], []
-    p_append, q_append = ps.append, qs.append
-    for _ in range(count):
-        while True:
-            q = getrandbits(bits)
-            while q >= width:
-                q = getrandbits(bits)
-            q += 2
-            p_width = q - 1
-            p_bits = p_width.bit_length()
-            p = getrandbits(p_bits)
-            while p >= p_width:
-                p = getrandbits(p_bits)
-            p += 1
-            if not coprime_only or gcd(p, q) == 1:
-                break
-        p_append(p)
-        q_append(q)
-    return ps, qs
+        object.__setattr__(self, "seed", require_int("seed", self.seed))
 
 
 def _chunk_tasks(spec: OmegaSpec) -> Iterator[tuple]:
@@ -159,7 +129,8 @@ def _chunk_tasks(spec: OmegaSpec) -> Iterator[tuple]:
 def _chunk_columns(task: tuple) -> tuple[list, list]:
     """The p and q columns of one chunk, in the order ``omega_iter`` yields."""
     if task[0] == "sampled":
-        return _sample_chunk(*task[1:])
+        _, n, seed, index, count, coprime_only = task
+        return sample_pairs(seed, "omega", index, count, 2, n, coprime_only)
     _, q_lo, q_hi, coprime_only = task
     ps, qs = [], []
     gcd = math.gcd
@@ -219,9 +190,8 @@ def _lockstep_costs(p: list, q: list):
     one lockstep run of the chunk.
     """
     p, q = np.array(p, np.int64), np.array(q, np.int64)
-    k, s, terminal = (np.zeros(p.size, np.int64) for _ in range(3))
-    steps = list(_lockstep_passes(p, q, k, s, terminal))
-    return (p, q, k, s, terminal, *_lockstep_continuants(steps, k))
+    k, s, terminal, passes = _lockstep_passes(p, q)
+    return (p, q, k, s, terminal, *_lockstep_continuants(passes, k))
 
 
 def _scalar_costs(p: list, q: list):
@@ -243,11 +213,11 @@ def _scalar_costs(p: list, q: list):
             *np.array(rows, object).reshape(-1, 6).T)
 
 
-def _lockstep_continuants(steps: list, k: np.ndarray):
+def _lockstep_continuants(passes: list, k: np.ndarray):
     """Reduced continuant pair (X, Y) and content exponent E per pair.
 
-    ``steps`` are the (live indices, greedy digits) of
-    ``_lockstep_passes`` and ``k`` the canonical step counts it filled in.
+    ``passes`` are the (live indices, greedy digits) of
+    ``_lockstep_passes`` and ``k`` the canonical step counts it returns.
     The greedy end (..., a) and its canonical relabel (..., a - 1, 0)
     have the same continuant pair, and the relabel adds one to the K of
     every pair with p < q, so K orders the pairs by their passes too.
@@ -268,7 +238,7 @@ def _lockstep_continuants(steps: list, k: np.ndarray):
     x = np.zeros(n, np.int64)
     y = np.ones(n, np.int64)
     e = np.zeros(n, np.int64)
-    for live, a in reversed(steps):
+    for live, a in reversed(passes):
         m = live.size
         digits = np.empty(m, np.int64)
         digits[rank[live]] = a
@@ -441,10 +411,11 @@ def mean_costs(spec: OmegaSpec, threads: int = 1) -> ExperimentReport:
 class SlopeReport:
     """Two-rung slope estimates d(mean cost)/d(log N).
 
-    The rungs are N_max/16 and N_max, so each slope is a mean difference
-    over log 16.  ``ratios`` holds slope(c)/slope(K); ratio standard
-    errors treat the two slopes as independent, which overstates the
-    error slightly (shared pairs correlate them positively).
+    The rungs are N_max // 16 and N_max, so each slope is a mean
+    difference over the log of their ratio, log 16 when 16 divides N_max.
+    ``ratios`` holds slope(c)/slope(K); ratio standard errors treat the
+    two slopes as independent, which overstates the error slightly
+    (shared pairs correlate them positively).
     ``targets`` holds the limit values: for K the slope itself (2/H),
     for every other cost the slope ratio.
     """
@@ -477,14 +448,16 @@ def slope_estimate(N_max: int, sample_count: int = 1_000_000,
                    seed: int = DEFAULT_SEED, threads: int = 1) -> SlopeReport:
     """Estimate the growth slopes of all mean costs at scale ``N_max``.
 
-    Uses sampled ensembles at N_max/16 and N_max with independent
+    Uses sampled ensembles at N_max // 16 and N_max with independent
     substreams.  Requires N_max >= 2^16 so the lower rung is itself
     asymptotic enough to difference against.
     """
     N_max = require_int("N_max", N_max, 1 << 16)
-    log_step = math.log(16.0)
+    seed = require_int("seed", seed)
+    ns = (N_max // 16, N_max)
+    log_step = math.log(ns[1] / ns[0])
     rungs = []
-    for i, n in enumerate((N_max // 16, N_max)):
+    for i, n in enumerate(ns):
         spec = OmegaSpec(N=n, mode="sampled", sample_count=sample_count,
                          seed=derive_seed(seed, "rung", i))
         rungs.append(mean_costs(spec, threads=threads))
@@ -506,7 +479,7 @@ def slope_estimate(N_max: int, sample_count: int = 1_000_000,
     targets = {"K": table.two_over_H, "S": table.D / LN2, **table.mean_costs}
     return SlopeReport(
         N_max=N_max,
-        sample_count=sample_count,
+        sample_count=hi.spec.sample_count,
         seed=seed,
         rungs=(lo, hi),
         slopes=slopes,

@@ -1,5 +1,19 @@
+import warnings
+
 import hypothesis
 import pytest
+
+# A failing @given test has hypothesis import its patch writer for the
+# report, and that import (through libcst) raises a DeprecationWarning.
+# Under the "error" mark below the warning would end the whole session
+# with INTERNALERROR, so the module is imported once here, where its own
+# deprecation is no test's warning.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:             # an install without libcst
+        pass
 
 # derandomized so every run (and every worker count) sees the same cases;
 # no deadline because Fraction arithmetic on big continuants is spiky

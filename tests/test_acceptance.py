@@ -229,7 +229,7 @@ def test_c08_conjecture_two_routes(slope_run, birkhoff_run):
     two routes must sit within 3 combined standard errors.
 
     Calibrated at 256-bit x 10^4 orbits against the 10^6-pair ladder:
-    e2 -0.99% of target, rho ratio +0.06%, z = -1.33.
+    e2 -0.92% of target, rho ratio +0.06%, z = -1.25.
     """
     slope_report, _ = slope_run
     rep = conjecture_check(birkhoff=birkhoff_run, slope=slope_report)

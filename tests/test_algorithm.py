@@ -3,6 +3,7 @@ import json
 import math
 import pickle
 import random
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -500,6 +501,15 @@ def _scalar_runs(pairs):
             [t for _, t in runs])
 
 
+def _leading_word_lists(pairs):
+    # the kernel on the pairs' p and q columns: K and S come back as int64
+    # arrays, the terminal as an object array of Python ints
+    k, s, terminal = _leading_word_run([p for p, _ in pairs],
+                                       [q for _, q in pairs])
+    assert (k.dtype, s.dtype, terminal.dtype) == (np.int64, np.int64, object)
+    return k.tolist(), s.tolist(), terminal.tolist()
+
+
 @st.composite
 def big_pairs(draw):
     bits = draw(st.integers(min_value=1, max_value=2048))
@@ -513,7 +523,7 @@ def big_pairs(draw):
 @settings(max_examples=50)
 @given(st.lists(big_pairs(), min_size=1, max_size=10))
 def test_leading_word_run_matches_scalar_kernel(pairs):
-    assert _leading_word_run(pairs) == _scalar_runs(pairs)
+    assert _leading_word_lists(pairs) == _scalar_runs(pairs)
 
 
 def _edge_pairs():
@@ -550,11 +560,11 @@ def _edge_pairs():
 
 def test_leading_word_run_edge_families():
     pairs = _edge_pairs()
-    assert _leading_word_run(pairs) == _scalar_runs(pairs)
+    assert _leading_word_lists(pairs) == _scalar_runs(pairs)
 
 
 def test_lockstep_passes_step_greedily_and_end_canonically():
-    # the passes yield the greedy digits; the canonical end is one relabel
+    # the passes hold the greedy digits; the canonical end is one relabel
     # (..., a) -> (..., a - 1, 0) of K, S and the terminal, and p = q,
     # which ends on a = 0, keeps its greedy end
     rng = random.Random(16)
@@ -567,9 +577,9 @@ def test_lockstep_passes_step_greedily_and_end_canonically():
             pairs.append((rng.randrange(1, q), q))
     p = np.array([p for p, _ in pairs], np.int64)
     q = np.array([q for _, q in pairs], np.int64)
-    k, s, terminal = (np.zeros(len(pairs), np.int64) for _ in range(3))
+    k, s, terminal, passes = algorithm._lockstep_passes(p, q)
     digits = [[] for _ in pairs]
-    for live, a in algorithm._lockstep_passes(p, q, k, s, terminal):
+    for live, a in passes:
         for i, d in zip(live.tolist(), a.tolist()):
             digits[i].append(d)
     assert digits == [_exponent_run(p, q, canonical=False)[0]
@@ -595,10 +605,10 @@ def test_leading_word_run_leaves_uncertified_pairs_to_the_scalar_kernel(
     monkeypatch.setattr(algorithm, "cl_step", no_step)
     monkeypatch.setattr(algorithm, "_exponent_run", recording)
     pairs = [(1, 1 << 300), (3, 3 << 70), (5 ** 40, 5 ** 40)]
-    assert _leading_word_run(pairs) == _scalar_runs(pairs)
+    assert _leading_word_lists(pairs) == _scalar_runs(pairs)
     assert finished == pairs
     edge = _edge_pairs()
-    assert _leading_word_run(edge) == _scalar_runs(edge)
+    assert _leading_word_lists(edge) == _scalar_runs(edge)
 
 
 def test_leading_word_batches_stay_below_the_matrix_limit(monkeypatch):
@@ -617,7 +627,7 @@ def test_leading_word_batches_stay_below_the_matrix_limit(monkeypatch):
     rng = random.Random(5)
     pairs = [(rng.getrandbits(299), rng.getrandbits(300) | 1 << 299)
              for _ in range(40)]
-    assert _leading_word_run(pairs) == _scalar_runs(pairs)
+    assert _leading_word_lists(pairs) == _scalar_runs(pairs)
     assert 0 < max(seen) < 1 << 12
 
 
@@ -635,7 +645,7 @@ def test_certificate_alone_keeps_the_digits(monkeypatch):
         cp = continuants(digits)
         pairs += [(cp.P + dp, cp.Q + dq) for dp, dq in
                   ((0, 0), (1, 0), (0, 1), (-1, 1)) if 0 < cp.P + dp < cp.Q + dq]
-    assert _leading_word_run(pairs) == _scalar_runs(pairs)
+    assert _leading_word_lists(pairs) == _scalar_runs(pairs)
 
 
 def test_leading_word_run_finishes_coprime_orbits_in_int64(monkeypatch):
@@ -644,9 +654,9 @@ def test_leading_word_run_finishes_coprime_orbits_in_int64(monkeypatch):
     finished = []
     lockstep_passes = algorithm._lockstep_passes
 
-    def counting(p, q, *out):
+    def counting(p, q):
         finished.append(len(p))
-        return lockstep_passes(p, q, *out)
+        return lockstep_passes(p, q)
 
     monkeypatch.setattr(algorithm, "_lockstep_passes", counting)
     rng = random.Random(6)
@@ -656,7 +666,7 @@ def test_leading_word_run_finishes_coprime_orbits_in_int64(monkeypatch):
         p = rng.randrange(1, q)
         if gcd(p, q) == 1:
             pairs.append((p, q))
-    assert _leading_word_run(pairs) == _scalar_runs(pairs)
+    assert _leading_word_lists(pairs) == _scalar_runs(pairs)
     assert finished == [len(pairs)]
 
 
@@ -669,8 +679,10 @@ def test_leading_word_run_rejects_a_broken_batch(monkeypatch):
         return batch
 
     monkeypatch.setattr(algorithm, "_certified_batch", one_shift_more)
-    with pytest.raises(ConsistencyError, match="leading-word"):
-        _leading_word_run([(3 ** 100, 5 ** 70)])
+    # the message names the pair from its p and q columns
+    with pytest.raises(ConsistencyError, match=re.escape(
+            f"leading-word batch broke the run of {(3 ** 100, 5 ** 70)}")):
+        _leading_word_run([2, 3 ** 100], [3, 5 ** 70])
 
 
 @pytest.mark.parametrize("row", [0, 1, 2, 3])
@@ -684,7 +696,7 @@ def test_leading_word_run_rejects_a_moved_matrix_entry(monkeypatch, row):
 
     monkeypatch.setattr(algorithm, "_certified_batch", moved)
     with pytest.raises(ConsistencyError, match="leading-word"):
-        _leading_word_run([(3 ** 100, 5 ** 70)])
+        _leading_word_run([3 ** 100], [5 ** 70])
 
 
 def _matrix_with_det(rng, det, bound=(1 << 61) - 1):

@@ -7,8 +7,9 @@ from pathlib import Path
 
 import pytest
 
+from clgcd import cli
 from clgcd.cli import run
-from clgcd.errors import ConsistencyError
+from clgcd.errors import ConsistencyError, DomainError
 from clgcd.spectral import solve_operator
 
 TRACE_31_75 = """\
@@ -275,18 +276,60 @@ def test_worstcase_output(capsys, tmp_path):
     assert len(out_file.read_text().strip().splitlines()) == 8
 
 
-@pytest.mark.parametrize("argv", [
+_OUT_ARGV = [
     ("worstcase", "--nmax", "8"),
     ("experiment", "--nmax", "100", "--exhaustive"),
     ("experiment", "--nmax", "65536", "--samples", "100", "--slope"),
-])
+]
+
+
+def _refuse_runs(monkeypatch, exc):
+    # every run behind an --out command raises ``exc`` if it is called
+    def refuse(*args, **kwargs):
+        raise exc
+
+    for name in ("worstcase_scan", "mean_costs", "slope_estimate"):
+        monkeypatch.setattr(cli, name, refuse)
+
+
+@pytest.mark.parametrize("argv", _OUT_ARGV)
 @pytest.mark.parametrize("target", ["missing/x.csv", "."])
-def test_unwritable_out_exits_1(capsys, tmp_path, argv, target):
-    # a missing directory or a directory as the file was a traceback
-    code, out, err = invoke(capsys, *argv, "--out", str(tmp_path / target))
-    assert code == 1
-    assert out == ""
-    assert err.startswith("error: cannot write ") and err.count("\n") == 1
+def test_unwritable_out_exits_1(monkeypatch, capsys, tmp_path, argv, target):
+    # a missing directory or a directory as the file was a traceback, and
+    # then an error only after the whole run; it now fails before the run
+    _refuse_runs(monkeypatch, AssertionError("run started before --out"))
+    path = tmp_path / target
+    reason = ("Is a directory" if path.is_dir()
+              else f"no directory {path.parent}")
+    code, out, err = invoke(capsys, *argv, "--out", str(path))
+    assert (code, out) == (1, "")
+    assert err == f"error: cannot write {path}: {reason}\n"
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("argv", _OUT_ARGV)
+def test_out_check_neither_creates_nor_truncates(monkeypatch, capsys,
+                                                 tmp_path, argv):
+    # a writable --out passes the check untouched: a new file is not made
+    # and an old one keeps its text when the run then fails
+    new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+    old.write_text("keep\n")
+    _refuse_runs(monkeypatch, DomainError("run refused"))
+    for path in (new, old):
+        code, _, err = invoke(capsys, *argv, "--out", str(path))
+        assert (code, err) == (1, "error: run refused\n")
+    assert not new.exists() and old.read_text() == "keep\n"
+
+
+def test_out_that_fails_at_write_time_exits_1(capsys, tmp_path):
+    # a name too long for the file system passes the check before the run
+    # and fails at the write, which reports it the same way
+    path = tmp_path / ("x" * 300 + ".csv")
+    code, out, err = invoke(capsys, "worstcase", "--nmax", "8", "--out",
+                            str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: cannot write {path}: ")
+    assert err.count("\n") == 1
 
 
 def test_worstcase_json(capsys):

@@ -28,8 +28,8 @@ from clgcd.dynamics import (
     t_apply,
     transfer_apply,
 )
-from clgcd.errors import DomainError
-from clgcd.parallel import chunk_counts, derive_seed, moments
+from clgcd.errors import ConsistencyError, DomainError
+from clgcd.parallel import chunk_counts, derive_seed, moments, sample_pairs
 from clgcd.spectral import CollocationGrid, build_matrix
 
 LN2 = math.log(2)
@@ -266,10 +266,12 @@ def _scalar_birkhoff(bits, samples, seed):
         sums = [0.0] * 4
         sumsq = [0.0] * 4
         for _ in range(count):
-            q = rng.randrange(lo, hi)
-            p = rng.randrange(1, q)
-            while gcd(p, q) != 1:
+            # a pair that is not coprime is drawn again, q as well as p
+            while True:
+                q = rng.randrange(lo, hi)
                 p = rng.randrange(1, q)
+                if gcd(p, q) == 1:
+                    break
             exps, terminal = _exponent_run(p, q)
             k, s = len(exps), sum(exps)
             vt = dyadic_valuation(terminal)
@@ -301,6 +303,19 @@ def test_birkhoff_matches_scalar_reference(bits, samples):
     for threads in (1, 2):
         rep = birkhoff_estimates(bits, samples, seed=21, threads=threads)
         assert rep.to_json_dict() == expect
+
+
+def test_birkhoff_rejects_a_terminal_with_an_odd_factor(monkeypatch):
+    # one pair of the group shares the factor 3, so its terminal is
+    # 3 * 2^v; the check on the whole terminal column must catch it
+    def one_shared_factor(*args):
+        p, q = sample_pairs(*args)
+        p[-1], q[-1] = 3 * p[-1], 3 * q[-1]
+        return p, q
+
+    monkeypatch.setattr(dynamics, "sample_pairs", one_shared_factor)
+    with pytest.raises(ConsistencyError, match="odd factor"):
+        birkhoff_estimates(bits=16, samples=300, seed=1)
 
 
 def test_birkhoff_sanity():

@@ -68,7 +68,7 @@ def test_omega_spec_validation():
     assert OmegaSpec(N=10_000, mode="exhaustive").N == EXHAUSTIVE_LIMIT
     with pytest.raises(DomainError):
         OmegaSpec(N=10, mode="sampled", sample_count=1)
-    # a float N reached _sample_chunk's int.bit_length as AttributeError
+    # a float N reached the sampler's int.bit_length as AttributeError
     for kwargs in ({"N": 1e6}, {"N": 1000, "sample_count": 5e3},
                    {"N": 100.0, "mode": "exhaustive"}):
         with pytest.raises(DomainError, match="integer"):
@@ -299,12 +299,14 @@ def _randint_chunk(n, seed, index, count, coprime_only):
     return pairs
 
 
+# a sampled chunk draws through parallel.sample_pairs with q_lo = 2 and
+# q_hi = N; tests/test_parallel.py pins the sampler on other ranges
 @pytest.mark.parametrize("n", [2, 3, 10, 1000, 10 ** 6, (1 << 62) - 1, 1 << 70])
 def test_sampler_reproduces_the_randint_stream(n):
     for seed, index, coprime_only in ((DEFAULT_SEED, 0, True), (7, 3, False),
                                       (11, 12, True)):
         args = (n, seed, index, 500, coprime_only)
-        columns = experiments._sample_chunk(*args)
+        columns = experiments._chunk_columns(("sampled", *args))
         assert list(zip(*columns)) == _randint_chunk(*args)
 
 
@@ -582,6 +584,40 @@ def test_slope_ladder_smoke(small_slope):
     assert rep.targets["r"] == table.H_conj
     assert rep.ratios["K"] == 1.0
     json.dumps(rep.to_json_dict())
+
+
+def test_slope_step_is_the_log_of_the_rung_ratio():
+    # the rungs are N_max // 16 and N_max; past a multiple of 16 their
+    # ratio is not 16
+    rep = slope_estimate((1 << 16) + 15, sample_count=200, seed=4)
+    lo, hi = rep.rungs
+    assert (lo.spec.N, hi.spec.N) == (4096, 65551)
+    step = math.log(65551 / 4096)
+    for key in COST_KEYS:
+        assert rep.slopes[key] == (hi.means[key] - lo.means[key]) / step
+        assert rep.slope_stderrs[key] == math.hypot(
+            hi.stderrs[key], lo.stderrs[key]) / step
+
+
+def test_reports_store_the_checked_int():
+    # a NumPy integer or a bool given as a seed, count or term number is
+    # stored as the int it stands for, so the reports serialise as the
+    # plain-int reports do
+    cases = [
+        (lambda i: birkhoff_estimates(16, 64, i(1)).to_json_dict()),
+        (lambda i: mean_costs(OmegaSpec(N=100, sample_count=i(50),
+                                        seed=i(1))).to_json_dict()),
+        (lambda i: m_table(i(64)).to_json_dict()),
+        (lambda i: slope_estimate(i(1 << 16), i(200),
+                                  seed=i(3)).to_json_dict()),
+    ]
+    for report in cases:
+        want = json.dumps(report(int))
+        assert json.dumps(report(np.int64)) == want
+    assert (json.dumps(birkhoff_estimates(16, 64, True).to_json_dict())
+            == json.dumps(birkhoff_estimates(16, 64, 1).to_json_dict()))
+    spec = OmegaSpec(N=100, mode="exhaustive", seed=True)
+    assert type(spec.seed) is int and spec.seed == 1
 
 
 def test_conjecture_report_wiring(small_slope):

@@ -1,5 +1,6 @@
 import math
 import os
+import random
 import statistics
 import subprocess
 import sys
@@ -10,7 +11,8 @@ import pytest
 
 from clgcd import parallel
 from clgcd.errors import DomainError
-from clgcd.parallel import chunk_counts, map_chunks, merge, moments, part
+from clgcd.parallel import (chunk_counts, derive_seed, map_chunks, merge,
+                            moments, part, sample_pairs)
 
 
 @pytest.mark.parametrize("total, size, expect", [
@@ -20,6 +22,32 @@ from clgcd.parallel import chunk_counts, map_chunks, merge, moments, part
 ])
 def test_chunk_counts(total, size, expect):
     assert list(chunk_counts(total, size)) == expect
+
+
+def _randint_pairs(seed, label, index, count, q_lo, q_hi, coprime_only):
+    rng = random.Random(derive_seed(seed, label, index))
+    pairs = []
+    for _ in range(count):
+        while True:
+            q = rng.randint(q_lo, q_hi)
+            p = rng.randint(1, q - 1)
+            if not coprime_only or math.gcd(p, q) == 1:
+                break
+        pairs.append((p, q))
+    return pairs
+
+
+# the Birkhoff ranges [2^(b-1), 2^b - 1] at 16, 63, 64 and 65 bits sit
+# below and on either side of getrandbits' 32-bit word boundaries
+@pytest.mark.parametrize("q_lo, q_hi", [
+    (2, 2), (2, 10), (3, 3), (5, 1000), (1000, 1000 + (1 << 40)),
+    *(((1 << (b - 1)), (1 << b) - 1) for b in (16, 63, 64, 65))])
+def test_sample_pairs_reproduces_the_randint_stream(q_lo, q_hi):
+    for seed, label, index, coprime_only in ((5, "omega", 0, True),
+                                             (7, "birkhoff", 3, False),
+                                             (11, "birkhoff", 12, True)):
+        args = (seed, label, index, 300, q_lo, q_hi, coprime_only)
+        assert list(zip(*sample_pairs(*args))) == _randint_pairs(*args)
 
 
 def test_part_sums_ints_exactly_and_floats_in_order():
