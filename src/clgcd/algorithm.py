@@ -467,7 +467,7 @@ def _leading_word_run(p, q):
         if bad.any():
             i = live[np.argmax(bad)]
             raise ConsistencyError("leading-word batch broke the run of "
-                                   f"{(p[i], q[i])}")
+                                   f"{(int(p[i]), int(q[i]))}")
         k[live] += count
         s[live] += shifts
         stuck = count == 0

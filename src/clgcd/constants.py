@@ -60,7 +60,11 @@ def series_tail_bound(terms: int) -> float:
 
 def const_E(terms: int = 64) -> float:
     """Mean of 2|log x| under the invariant density."""
-    return (math.pi ** 2 / 6.0 + 2.0 * _alt_series(terms)) / LOG43
+    return _E_from(_alt_series(terms))
+
+
+def _E_from(series: float) -> float:
+    return (math.pi ** 2 / 6.0 + 2.0 * series) / LOG43
 
 
 def const_D() -> float:
@@ -84,10 +88,15 @@ def const_H_conjectured(terms: int = 64) -> float:
     Evaluated from its own closed form, then cross-checked against
     A - B to within 1e-12; the two are algebraically equal.
     """
-    bracket = (math.pi ** 2 / 6.0 + 2.0 * _alt_series(terms)
+    return _H_from(_alt_series(terms))
+
+
+def _H_from(series: float) -> float:
+    # the closed form and the A - B cross-check share one series sum
+    bracket = (math.pi ** 2 / 6.0 + 2.0 * series
                - LN2 * (3.0 * LN3 - 4.0 * LN2))
     direct = bracket / (2.0 * LN2 - LN3)
-    indirect = const_A(terms) - const_B_conjectured()
+    indirect = _E_from(series) - const_D() - const_B_conjectured()
     if abs(direct - indirect) > 1e-12:
         raise ConsistencyError(
             f"H closed form disagrees with A - B: {direct} vs {indirect}"
@@ -123,11 +132,12 @@ class ConstantsTable:
 
 def m_table(terms: int = 64) -> ConstantsTable:
     terms = require_int("terms", terms, 1, SERIES_TERMS_MAX)
-    E = const_E(terms)
+    series = _alt_series(terms)
+    E = _E_from(series)
     D = const_D()
     A = E - D
     B = const_B_conjectured()
-    H = const_H_conjectured(terms)
+    H = _H_from(series)
     return ConstantsTable(
         E=E,
         D=D,

@@ -24,9 +24,9 @@ of two, checked on the whole terminal column as the ensemble's cost stage
 checks its own.  Chunks of orbits fix the seeds and the order of the sums;
 a pool task runs a fixed group of chunks through the kernel in one
 lockstep.  The pairs are drawn by ``parallel.sample_pairs``, the
-ensembles' sampler, with q uniform on [2^(bits-1), 2^bits - 1] and p on
-[1, q - 1], both redrawn until coprime; each chunk's column sums run in
-orbit order, as a running sum would.
+ensembles' sampler, uniform on the coprime pairs 1 <= p < q with q in
+[2^(bits-1), 2^bits - 1]; each chunk's column sums run in orbit order,
+as a running sum would.
 """
 from __future__ import annotations
 
@@ -196,12 +196,9 @@ class BirkhoffReport:
 
 def _birkhoff_group(args):
     bits, seed, label, chunks = args
-    p, q = [], []
-    for index, count in chunks:
-        ps, qs = sample_pairs(seed, label, index, count, 1 << (bits - 1),
-                              (1 << bits) - 1, True)
-        p += ps
-        q += qs
+    p, q = (np.concatenate(c) for c in zip(*(
+        sample_pairs(seed, label, index, count, 1 << (bits - 1),
+                     (1 << bits) - 1, True) for index, count in chunks)))
     k, s, terminal = _leading_word_run(p, q)
     vt = _v2(terminal)
     if (terminal >> vt != 1).any():
@@ -210,7 +207,7 @@ def _birkhoff_group(args):
     # terminal modulus times continuant gcd is 2^S, so val(g) = S - vt
     rows = np.array([
         s / k,
-        2.0 * np.array([math.log(x) for x in q]) / k,
+        2.0 * np.array([math.log(x) for x in q.tolist()]) / k,
         2.0 * (s - vt) * LN2 / k,
         vt / k,
     ])

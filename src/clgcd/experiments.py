@@ -3,15 +3,16 @@
 Omega_N is the set of coprime pairs (p, q) with 0 < p < q <= N under the
 uniform measure.  Exhaustive mode enumerates it outright (capped at
 N = 10^4, about 3 x 10^7 pairs; the ensemble grows like 0.3 N^2).
-Sampled mode draws q uniform on [2, N], p uniform on [1, q-1], and
-rejects until the pair is coprime.  That keeps q roughly uniform instead
-of phi-weighted, which shifts every mean cost by an N-independent amount
-and so cancels from slope estimates; comparisons against exhaustive runs
-should therefore be made on slopes or on cost ratios, not on raw means.
+Sampled mode draws from the same law: two values uniform below N, drawn
+again when equal, give p = min + 1 and q = max + 1, uniform on the pairs
+0 < p < q <= N; a coprime ensemble draws a pair with a common factor
+again.  So a sampled mean estimates the exhaustive mean of the same N,
+and the two modes can be compared on raw means as well as on slopes.
 
 Sampling is chunked, with each chunk's generator seeded by
 (seed, "omega", chunk index) and drawn by ``parallel.sample_pairs``, the
-sampler the Birkhoff orbits share.  Results are bitwise reproducible for
+sampler the Birkhoff orbits share; below 2^62 it parses each chunk's
+draws in bulk into int64 columns.  Results are bitwise reproducible for
 a given seed no matter how many worker processes are used.
 
 The ``theory`` column attached to reports is the leading-order prediction
@@ -126,8 +127,10 @@ def _chunk_tasks(spec: OmegaSpec) -> Iterator[tuple]:
         q = hi
 
 
-def _chunk_columns(task: tuple) -> tuple[list, list]:
-    """The p and q columns of one chunk, in the order ``omega_iter`` yields."""
+def _chunk_columns(task: tuple) -> tuple:
+    """The p and q columns of one chunk, in the order ``omega_iter`` yields:
+    int64 arrays, or object arrays of ints for a sampled N of 2^62 or
+    more."""
     if task[0] == "sampled":
         _, n, seed, index, count, coprime_only = task
         return sample_pairs(seed, "omega", index, count, 2, n, coprime_only)
@@ -138,7 +141,7 @@ def _chunk_columns(task: tuple) -> tuple[list, list]:
         row = [p for p in range(1, q) if not coprime_only or gcd(p, q) == 1]
         ps += row
         qs += [q] * len(row)
-    return ps, qs
+    return np.array(ps, np.int64), np.array(qs, np.int64)
 
 
 def omega_iter(spec: OmegaSpec) -> Iterator[tuple[int, int]]:
@@ -148,7 +151,8 @@ def omega_iter(spec: OmegaSpec) -> Iterator[tuple[int, int]]:
     mode replays the chunked substreams in chunk order.
     """
     for task in _chunk_tasks(spec):
-        yield from zip(*_chunk_columns(task))
+        p, q = _chunk_columns(task)
+        yield from zip(p.tolist(), q.tolist())
 
 
 def check_worstcase_bounds(p: int, q: int, k: int, s: int) -> None:
@@ -182,25 +186,26 @@ def _stats_chunk(task: tuple):
     return _chunk_part(*stage(*_chunk_columns(task)), coprime=task[-1])
 
 
-def _lockstep_costs(p: list, q: list):
+def _lockstep_costs(p, q):
     """Kernel stage on int64 arrays, every q < 2^62.
 
     Takes a chunk's p and q columns and returns p, q, K, S, the terminal
     modulus and the reduced continuant pair (X, Y, E) of every pair, from
     one lockstep run of the chunk.
     """
-    p, q = np.array(p, np.int64), np.array(q, np.int64)
+    p, q = np.asarray(p, np.int64), np.asarray(q, np.int64)
     k, s, terminal, passes = _lockstep_passes(p, q)
     return (p, q, k, s, terminal, *_lockstep_continuants(passes, k))
 
 
-def _scalar_costs(p: list, q: list):
+def _scalar_costs(p, q):
     """Kernel stage pair by pair through ``_exponent_run``, any size.
 
     Returns what ``_lockstep_costs`` returns, as object arrays.  The
     continuant pair is read innermost first, x, y = y, (x + y) << a, and
     loses its common power of two 2^E at the end.
     """
+    p, q = np.asarray(p).tolist(), np.asarray(q).tolist()
     rows = []
     for pi, qi in zip(p, q):
         exps, terminal = _exponent_run(pi, qi, canonical=True)

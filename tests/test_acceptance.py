@@ -6,7 +6,7 @@ counts (the measured values sit in comments next to each gate, all of them
 3x-50x inside the stated ceilings).  Every random quantity is seeded and
 thread-count independent, so a rerun reproduces the quoted numbers bit for
 bit.  The slope fixture draws two sampled ensembles of 10^6 pairs, about
-10 s single-threaded on a 2-core box; the c01 oracle (about 12 s) is the
+3 s single-threaded on a 2-core box; the c01 oracle (about 12 s) is the
 long pole.
 """
 import math
@@ -194,8 +194,8 @@ def test_c07_average_case_laws(slope_run):
     intercepts at N = 10^6 (it sits near 1.23, drifting up by ~0.18/ln 16
     per ladder rung) and is printed for the record rather than gated.
 
-    Calibrated at seed 0x5EED, 10^6 pairs per rung: slope(K) +0.26% of
-    target, S ratio -0.19%, sigma ratio -0.19%, q ratio -0.11%.
+    Calibrated at seed 0x5EED, 10^6 pairs per rung: slope(K) +0.07% of
+    target, S ratio +0.07%, sigma ratio +0.07%, q ratio +0.06%.
     """
     report, elapsed = slope_run
     targets = report.targets
@@ -208,7 +208,7 @@ def test_c07_average_case_laws(slope_run):
     assert abs(dev_sigma) < 0.05      # sigma ratio, 0.97693 within 5%
     dev_q = report.ratios["q"] / targets["q"] - 1.0
     assert abs(dev_q) < 0.05          # q ratio, 2.60045 within 5%
-    assert elapsed < 600.0            # measured ~10 s, 2 cores
+    assert elapsed < 600.0            # measured ~3 s, 2 cores
 
     _lo, hi = report.rungs
     raw = hi.means["S"] / hi.means["K"]
@@ -229,7 +229,7 @@ def test_c08_conjecture_two_routes(slope_run, birkhoff_run):
     two routes must sit within 3 combined standard errors.
 
     Calibrated at 256-bit x 10^4 orbits against the 10^6-pair ladder:
-    e2 -0.92% of target, rho ratio +0.06%, z = -1.25.
+    e2 -0.82% of target, rho ratio +0.21%, z = -1.33.
     """
     slope_report, _ = slope_run
     rep = conjecture_check(birkhoff=birkhoff_run, slope=slope_report)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import spence
 
+from clgcd import constants
 from clgcd.constants import (
     LN2,
     LOG32,
@@ -19,7 +20,7 @@ from clgcd.constants import (
     m_table,
     series_tail_bound,
 )
-from clgcd.errors import DomainError
+from clgcd.errors import ConsistencyError, DomainError
 
 # six-figure reference values; the closed forms must sit within 1e-4
 REFERENCE = {
@@ -104,6 +105,31 @@ def test_h_internal_cross_check():
     # evaluates both the direct bracket form and A - B; raises on mismatch
     assert const_H_conjectured() == pytest.approx(
         const_A() - const_B_conjectured(), abs=1e-12)
+
+
+def test_m_table_sums_the_series_once(monkeypatch):
+    calls = []
+
+    def counted(terms):
+        calls.append(terms)
+        return _alt_series(terms)
+
+    monkeypatch.setattr(constants, "_alt_series", counted)
+    for terms in (1, 32, 64, np.int64(40)):
+        calls.clear()
+        table = m_table(terms)
+        assert calls == [terms]
+        # one shared sum gives what the closed forms give one by one
+        assert (table.E, table.A, table.H_conj) == (
+            const_E(terms), const_A(terms), const_H_conjectured(terms))
+
+
+def test_m_table_keeps_the_h_cross_check(monkeypatch):
+    # an A - B that drifts from the closed form by more than 1e-12 raises
+    monkeypatch.setattr(constants, "const_B_conjectured",
+                        lambda: const_B_conjectured() + 1e-11)
+    with pytest.raises(ConsistencyError, match="A - B"):
+        m_table()
 
 
 def test_table_json_round_trip():

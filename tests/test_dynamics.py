@@ -259,18 +259,20 @@ def _scalar_birkhoff(bits, samples, seed):
     # the report by its definition: the orbits of each chunk's seeded
     # pairs through the scalar step kernel, summed in orbit order, merged
     # over chunks
-    lo, hi = 1 << (bits - 1), 1 << bits
+    lo, hi = 1 << (bits - 1), (1 << bits) - 1
     parts = []
     for index, count in chunk_counts(samples, dynamics._BIRKHOFF_CHUNK):
         rng = random.Random(derive_seed(seed, "birkhoff", index))
         sums = [0.0] * 4
         sumsq = [0.0] * 4
         for _ in range(count):
-            # a pair that is not coprime is drawn again, q as well as p
+            # uniform on the coprime 1 <= p < q, lo <= q <= hi: x and y
+            # below hi, p = min + 1 and q = max + 1, all drawn again on
+            # x = y, q < lo or a common factor
             while True:
-                q = rng.randrange(lo, hi)
-                p = rng.randrange(1, q)
-                if gcd(p, q) == 1:
+                x, y = rng.randrange(hi), rng.randrange(hi)
+                p, q = min(x, y) + 1, max(x, y) + 1
+                if x != y and q >= lo and gcd(p, q) == 1:
                     break
             exps, terminal = _exponent_run(p, q)
             k, s = len(exps), sum(exps)

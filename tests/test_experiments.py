@@ -93,6 +93,9 @@ def test_omega_sampled_reproducible():
     assert pairs == list(omega_iter(spec))
     assert len(pairs) == 5000
     assert all(0 < p < q <= 1000 and gcd(p, q) == 1 for p, q in pairs)
+    # Python ints, not the columns' int64, in both modes
+    exhaustive = list(omega_iter(OmegaSpec(N=50, mode="exhaustive")))
+    assert {type(x) for pair in pairs + exhaustive for x in pair} == {int}
     other = OmegaSpec(N=1000, mode="sampled", sample_count=5000, seed=124)
     assert pairs != list(omega_iter(other))
 
@@ -177,6 +180,11 @@ _EDGE_PAIRS = [(1, _TOP), (3, (1 << 61) + 5), (5, (1 << 61) - 1), (1, 2),
 _EDGE_PAIRS += [(1, (1 << n) - 1) for n in range(2, 62)]
 
 
+def _task_pairs(task):
+    # one chunk's pairs as Python ints, as omega_iter yields them
+    return list(zip(*(c.tolist() for c in experiments._chunk_columns(task))))
+
+
 def _straight_part(pairs):
     # one chunk part from the exact scalar routes: ints added exactly, the
     # float logs summed in pair order
@@ -203,8 +211,7 @@ def test_chunk_parts_match_a_straight_loop():
     for spec in _CHUNK_SPECS:
         for task in experiments._chunk_tasks(spec):
             part = experiments._stats_chunk(task)
-            assert part == _straight_part(
-                list(zip(*experiments._chunk_columns(task))))
+            assert part == _straight_part(_task_pairs(task))
             _assert_part_types(part)
 
 
@@ -282,20 +289,21 @@ def test_kernel_stage_follows_the_task_bound(monkeypatch, task, stage, other):
     monkeypatch.setattr(experiments, stage, record)
     part = experiments._stats_chunk(task)
     assert ran == [part[0]] and part[0] > 0
-    assert part == _straight_part(
-        list(zip(*experiments._chunk_columns(task))))
+    assert part == _straight_part(_task_pairs(task))
 
 
 def _randint_chunk(n, seed, index, count, coprime_only):
+    # the sampler's rule on randrange: x and y uniform below N, both drawn
+    # again when equal, then p = min + 1 and q = max + 1
     rng = random.Random(derive_seed(seed, "omega", index))
     pairs = []
-    for _ in range(count):
-        while True:
-            q = rng.randint(2, n)
-            p = rng.randint(1, q - 1)
-            if not coprime_only or gcd(p, q) == 1:
-                break
-        pairs.append((p, q))
+    while len(pairs) < count:
+        x, y = rng.randrange(n), rng.randrange(n)
+        if x == y:
+            continue
+        p, q = min(x, y) + 1, max(x, y) + 1
+        if not coprime_only or gcd(p, q) == 1:
+            pairs.append((p, q))
     return pairs
 
 
@@ -306,8 +314,22 @@ def test_sampler_reproduces_the_randint_stream(n):
     for seed, index, coprime_only in ((DEFAULT_SEED, 0, True), (7, 3, False),
                                       (11, 12, True)):
         args = (n, seed, index, 500, coprime_only)
-        columns = experiments._chunk_columns(("sampled", *args))
-        assert list(zip(*columns)) == _randint_chunk(*args)
+        assert _task_pairs(("sampled", *args)) == _randint_chunk(*args)
+
+
+@pytest.mark.parametrize("coprime_only", [True, False])
+def test_sampled_law_is_omega_n(coprime_only):
+    # the sampled ensemble is uniform on the pairs the exhaustive mode
+    # enumerates, so every sampled mean sits within 4 sigma of the
+    # exact ensemble mean
+    n = 2000
+    exact = mean_costs(OmegaSpec(N=n, mode="exhaustive",
+                                 coprime_only=coprime_only))
+    sampled = mean_costs(OmegaSpec(N=n, sample_count=200_000, seed=3,
+                                   coprime_only=coprime_only))
+    for key in COST_KEYS:
+        z = (sampled.means[key] - exact.means[key]) / sampled.stderrs[key]
+        assert abs(z) < 4.0, (key, z)
 
 
 def test_mean_costs_rejects_a_wrong_continuant_pair(monkeypatch):

@@ -24,17 +24,24 @@ def test_chunk_counts(total, size, expect):
     assert list(chunk_counts(total, size)) == expect
 
 
-def _randint_pairs(seed, label, index, count, q_lo, q_hi, coprime_only):
+def _randrange_pairs(seed, label, index, count, q_lo, q_hi, coprime_only):
+    # the sampler's rule on randrange: x and y uniform below q_hi, both
+    # drawn again when equal, p = min + 1 and q = max + 1 kept when q >= q_lo
+    # (and, when asked, gcd(p, q) = 1)
     rng = random.Random(derive_seed(seed, label, index))
     pairs = []
-    for _ in range(count):
-        while True:
-            q = rng.randint(q_lo, q_hi)
-            p = rng.randint(1, q - 1)
-            if not coprime_only or math.gcd(p, q) == 1:
-                break
-        pairs.append((p, q))
+    while len(pairs) < count:
+        x, y = rng.randrange(q_hi), rng.randrange(q_hi)
+        if x == y:
+            continue
+        p, q = min(x, y) + 1, max(x, y) + 1
+        if q >= q_lo and (not coprime_only or math.gcd(p, q) == 1):
+            pairs.append((p, q))
     return pairs
+
+
+def _pairs(columns):
+    return list(zip(*(c.tolist() for c in columns)))
 
 
 # the Birkhoff ranges [2^(b-1), 2^b - 1] at 16, 63, 64 and 65 bits sit
@@ -47,7 +54,56 @@ def test_sample_pairs_reproduces_the_randint_stream(q_lo, q_hi):
                                              (7, "birkhoff", 3, False),
                                              (11, "birkhoff", 12, True)):
         args = (seed, label, index, 300, q_lo, q_hi, coprime_only)
-        assert list(zip(*sample_pairs(*args))) == _randint_pairs(*args)
+        columns = sample_pairs(*args)
+        assert _pairs(columns) == _randrange_pairs(*args)
+        # int64 columns below 2^62, object columns of ints above
+        want = np.int64 if q_hi < 1 << 62 else object
+        assert [c.dtype for c in columns] == [want, want]
+
+
+class _CountingBits:
+    """getrandbits of a seeded generator, counting its calls."""
+
+    def __init__(self, seed):
+        self.getrandbits = random.Random(seed).getrandbits
+        self.calls = 0
+
+    def __call__(self, k):
+        self.calls += 1
+        return self.getrandbits(k)
+
+
+# 2 and 3 are the smallest ranges (2-bit values); 2^32 - 1, 2^32 and
+# 2^32 + 1 sit on either side of one word per value
+@pytest.mark.parametrize("q_hi", [
+    2, 3, (1 << 31) + 7, (1 << 32) - 1, 1 << 32, (1 << 32) + 1,
+    (1 << 32) + 12345, (1 << 61) + 3, (1 << 62) - 1])
+@pytest.mark.parametrize("high_half", [False, True])
+@pytest.mark.parametrize("coprime_only", [True, False])
+def test_bulk_draw_equals_the_loop(monkeypatch, q_hi, high_half,
+                                   coprime_only):
+    q_lo = q_hi // 2 + 1 if high_half else 2
+    seed = derive_seed(9, "bulk", q_hi)
+    loop = parallel._loop_pairs(random.Random(seed).getrandbits, 1200, q_lo,
+                                q_hi, coprime_only)
+    bulk = _CountingBits(seed)
+    columns = parallel._bulk_pairs(bulk, 1200, q_lo, q_hi, coprime_only)
+    assert _pairs(columns) == _pairs(loop)
+    assert [c.dtype for c in columns] == [np.int64, np.int64]
+    # batches of 101 values top up over and over, and an accepted count
+    # that is odd carries its last value into the next batch
+    monkeypatch.setattr(parallel, "_BULK_VALUES", 101)
+    small = _CountingBits(seed)
+    assert _pairs(parallel._bulk_pairs(small, 1200, q_lo, q_hi,
+                                       coprime_only)) == _pairs(loop)
+    assert small.calls > 20 > bulk.calls
+
+
+@pytest.mark.parametrize("q_lo, q_hi", [(2, 1), (5, 4), (2, 0)])
+def test_sample_pairs_rejects_an_empty_range(q_lo, q_hi):
+    # no pair 1 <= p < q has q in the range; the draw would never end
+    with pytest.raises(DomainError, match="no pair"):
+        sample_pairs(1, "omega", 0, 10, q_lo, q_hi, True)
 
 
 def test_part_sums_ints_exactly_and_floats_in_order():
