@@ -26,6 +26,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConsistencyError, require_int
+from .report import fields_json
 
 LN2 = math.log(2.0)
 LN3 = math.log(3.0)
@@ -117,17 +118,7 @@ class ConstantsTable:
     mean_costs: dict[str, float]   # cost name -> asymptotic mean per step
     terms: int
 
-    def to_json_dict(self) -> dict:
-        return {
-            "E": self.E,
-            "D": self.D,
-            "A": self.A,
-            "B_conj": self.B_conj,
-            "H_conj": self.H_conj,
-            "two_over_H": self.two_over_H,
-            "mean_costs": dict(self.mean_costs),
-            "terms": self.terms,
-        }
+    to_json_dict = fields_json
 
 
 def m_table(terms: int = 64) -> ConstantsTable:

@@ -159,12 +159,15 @@ def quad_gl(f, a: float, b: float, panels: int = 64, order: int = 8) -> float:
 class BirkhoffReport:
     """Per-step growth rates averaged over random high orbits.
 
+    The theory values of the last three are conjectured; ``m_table()``
+    holds them:
+
     mean_shift_per_step    S/K, theory log(3/2)/log(4/3) = 1.40942
-    entropy_estimate       2 log q / K, theory the entropy constant 1.33973
-    e2_estimate            2 log gcd(P,Q) / K, theory B+D = 1.26071
+    entropy_estimate       2 log q / K, theory the entropy constant H_conj
+    e2_estimate            2 log gcd(P,Q) / K, theory B_conj + D
     valuation_rate         val_2(terminal) / K, the running-gcd probe; equals
-                           (S - val_2 gcd(P,Q))/K per trajectory, so the
-                           conjectured dyadic rate makes it approach 1/2
+                           (S - val_2 gcd(P,Q))/K per trajectory, so its
+                           theory is (D - B_conj) / (2 ln 2)
     """
 
     samples: int

@@ -27,9 +27,9 @@ Each chunk runs in two stages.  The sampler or the exhaustive enumerator
 hands the chunk's p and q columns (``_chunk_columns``) straight to a
 kernel stage, which returns K, S, the terminal modulus and the continuant
 pair of the digits in reduced form, (X, Y) with content exponent E: in
-int64 lockstep (``_lockstep_costs``) when the chunk's own bound on q (N
-for a sampled chunk, the last denominator of an exhaustive one) is below
-2^62, else pair by pair through ``_exponent_run`` (``_scalar_costs``).
+int64 lockstep (``_lockstep_costs``) on int64 columns, which the sampler
+and the enumerator give for every q below 2^62, else pair by pair through
+``_exponent_run`` (``_scalar_costs``) on object columns.
 The int64 stage runs its forward passes in pair order and reads the
 continuant pair back with the pairs sorted by K, so the pairs a pass
 touches are a prefix (``_lockstep_continuants``).  One cost stage
@@ -61,6 +61,7 @@ from .dynamics import BirkhoffReport, birkhoff_estimates
 from .errors import ConsistencyError, DomainError, require_int
 from .parallel import (chunk_counts, derive_seed, map_chunks, merge, moments,
                        part, sample_pairs)
+from .report import fields_json
 
 # A chunk part's columns are K, S, v(g), v(Q) (ints) and ln Q, ln R
 # (floats); each cost reads one column at one scale, sigma being S in nats.
@@ -179,11 +180,11 @@ def check_worstcase_bounds(p: int, q: int, k: int, s: int) -> None:
 
 
 def _stats_chunk(task: tuple):
-    # the task's own bound on q picks the kernel stage: N for a sampled
-    # chunk, q_hi - 1 for an exhaustive one
-    bound = task[1] if task[0] == "sampled" else task[2] - 1
-    stage = _lockstep_costs if bound < _BATCH_LIMIT else _scalar_costs
-    return _chunk_part(*stage(*_chunk_columns(task)), coprime=task[-1])
+    # the column dtype picks the kernel stage: the sampler and the
+    # enumerator give int64 columns for every q below 2^62
+    p, q = _chunk_columns(task)
+    stage = _scalar_costs if q.dtype == object else _lockstep_costs
+    return _chunk_part(*stage(p, q), coprime=task[-1])
 
 
 def _lockstep_costs(p, q):
@@ -385,7 +386,7 @@ def mean_costs(spec: OmegaSpec, threads: int = 1) -> ExperimentReport:
     against its odd gcd, and its costs, read off the run, exactly against
     its continuant pair, so one experiment is also as many exact identity
     checks as pairs.  Each chunk hands its p and q columns to a kernel
-    stage: the int64 lockstep when the chunk's bound on q is below 2^62,
+    stage: the int64 lockstep on int64 columns (every q below 2^62),
     else pair by pair.  One cost stage serves both, and the result does
     not depend on which kernel ran.  A coprime chunk checks each terminal
     against d = 1, from the gcd that accepted the pair, and computes no
@@ -428,25 +429,14 @@ class SlopeReport:
     N_max: int
     sample_count: int
     seed: int
-    rungs: tuple
     slopes: dict
     slope_stderrs: dict
     ratios: dict
     ratio_stderrs: dict
     targets: dict
+    rungs: tuple
 
-    def to_json_dict(self) -> dict:
-        return {
-            "N_max": self.N_max,
-            "sample_count": self.sample_count,
-            "seed": self.seed,
-            "slopes": dict(self.slopes),
-            "slope_stderrs": dict(self.slope_stderrs),
-            "ratios": dict(self.ratios),
-            "ratio_stderrs": dict(self.ratio_stderrs),
-            "targets": dict(self.targets),
-            "rungs": [r.to_json_dict() for r in self.rungs],
-        }
+    to_json_dict = fields_json
 
 
 def slope_estimate(N_max: int, sample_count: int = 1_000_000,
@@ -486,12 +476,12 @@ def slope_estimate(N_max: int, sample_count: int = 1_000_000,
         N_max=N_max,
         sample_count=hi.spec.sample_count,
         seed=seed,
-        rungs=(lo, hi),
         slopes=slopes,
         slope_stderrs=errs,
         ratios=ratios,
         ratio_stderrs=ratio_errs,
         targets=targets,
+        rungs=(lo, hi),
     )
 
 
@@ -530,15 +520,7 @@ class DirichletReport:
     deviation: float
     tail_scale: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "s": self.s,
-            "N": self.N,
-            "partial_sum": self.partial_sum,
-            "zeta_ratio": self.zeta_ratio,
-            "deviation": self.deviation,
-            "tail_scale": self.tail_scale,
-        }
+    to_json_dict = fields_json
 
 
 def dirichlet_check(s: float = 2.0, N: int = 10_000) -> DirichletReport:
@@ -584,12 +566,7 @@ class WorstCaseReport:
         out.extend(list(row) for row in self.rows)
         return out
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n_max": self.n_max,
-            "rows": [list(row) for row in self.rows],
-            "fits": {conv: dict(fit) for conv, fit in self.fits.items()},
-        }
+    to_json_dict = fields_json
 
 
 def worstcase_scan(n_max: int = 64) -> WorstCaseReport:
@@ -660,22 +637,7 @@ class ConjectureReport:
     birkhoff: BirkhoffReport
     slope: SlopeReport
 
-    def to_json_dict(self) -> dict:
-        return {
-            "target": self.target,
-            "e2_estimate": self.e2_estimate,
-            "e2_stderr": self.e2_stderr,
-            "e2_systematic": self.e2_systematic,
-            "ratio_estimate": self.ratio_estimate,
-            "ratio_stderr": self.ratio_stderr,
-            "difference": self.difference,
-            "combined_stderr": self.combined_stderr,
-            "z_score": self.z_score,
-            "implied_d_minus_b": dict(self.implied_d_minus_b),
-            "log2": self.log2,
-            "birkhoff": self.birkhoff.to_json_dict(),
-            "slope": self.slope.to_json_dict(),
-        }
+    to_json_dict = fields_json
 
 
 def conjecture_check(bits: int = 256, trajectory_samples: int = 10_000,
@@ -683,7 +645,8 @@ def conjecture_check(bits: int = 256, trajectory_samples: int = 10_000,
                      seed: int = DEFAULT_SEED, threads: int = 1,
                      birkhoff: Optional[BirkhoffReport] = None,
                      slope: Optional[SlopeReport] = None) -> ConjectureReport:
-    """Test D - B = log 2 through its consequence B + D = 1.26071...
+    """Test D - B = log 2 through its consequence for B + D, the target
+    ``B_conj + D`` of ``m_table()`` (its ``mean_costs["rho"]``).
 
     The two estimators share nothing: one averages dyadic valuations
     along long trajectories, the other differences ensemble means across

@@ -9,7 +9,10 @@ import pytest
 
 from clgcd import cli
 from clgcd.cli import run
+from clgcd.constants import m_table
 from clgcd.errors import ConsistencyError, DomainError
+from clgcd.experiments import (conjecture_check, dirichlet_check,
+                               slope_estimate, worstcase_scan)
 from clgcd.spectral import solve_operator
 
 TRACE_31_75 = """\
@@ -354,6 +357,26 @@ def test_conjecture_smoke(capsys):
     assert d["birkhoff"]["bits"] == 16
     assert d["slope"]["N_max"] == 65536
     assert d["target"] == pytest.approx(1.260725, abs=1e-6)
+
+
+@pytest.mark.parametrize("argv, report", [
+    (("constants", "--terms", "7"), lambda: m_table(7)),
+    (("dirichlet", "--s", "2.5", "--nmax", "500"),
+     lambda: dirichlet_check(2.5, 500)),
+    (("worstcase", "--nmax", "9"), lambda: worstcase_scan(9)),
+    (("experiment", "--slope", "--nmax", "65536", "--samples", "500",
+      "--seed", "3"), lambda: slope_estimate(65536, 500, seed=3)),
+    (("conjecture", "--bits", "16", "--samples", "64", "--nmax", "65536",
+      "--pair-samples", "500", "--seed", "3"),
+     lambda: conjecture_check(bits=16, trajectory_samples=64, N_max=65536,
+                              pair_samples=500, seed=3)),
+], ids=["constants", "dirichlet", "worstcase", "experiment-slope",
+        "conjecture"])
+def test_json_prints_the_report_unpatched(capsys, argv, report):
+    # --json prints the library report's own dict, with no key added
+    code, out, _ = invoke(capsys, *argv, "--json")
+    assert code == 0
+    assert out == json.dumps(report().to_json_dict(), indent=2) + "\n"
 
 
 def test_domain_error_exits_1(capsys):

@@ -272,9 +272,11 @@ def test_coprime_route_rejects_a_common_factor(pair, match, stage):
      "_scalar_costs", "_lockstep_costs"),
     (("exhaustive", 2, 60, True), "_lockstep_costs", "_scalar_costs"),
 ])
-def test_kernel_stage_follows_the_task_bound(monkeypatch, task, stage, other):
-    # the task's own bound picks the kernel stage: N for a sampled chunk,
-    # q_hi - 1 for an exhaustive one; the other stage must not run
+def test_kernel_stage_follows_the_column_dtype(monkeypatch, task, stage,
+                                               other):
+    # the column dtype picks the kernel stage: int64 for every q below
+    # 2^62 (a sampled N of 2^62 - 1, any exhaustive chunk), object above;
+    # the other stage must not run
     def refuse(p, q):
         raise AssertionError(f"{other} ran on {task}")
 
