@@ -22,11 +22,11 @@ it applies: |det M| = 2^(shift sum), decided exactly in int64, and
 0 < u' < w' on the big integers.  Every orbit's terminal must be a power
 of two, checked on the whole terminal column as the ensemble's cost stage
 checks its own.  Chunks of orbits fix the seeds and the order of the sums;
-a pool task runs a fixed group of chunks through the kernel in one
-lockstep.  The pairs are drawn by ``parallel.sample_pairs``, the
-ensembles' sampler, uniform on the coprime pairs 1 <= p < q with q in
-[2^(bits-1), 2^bits - 1]; each chunk's column sums run in orbit order,
-as a running sum would.
+one ``map_chunks`` task, in this process or a forked worker, runs a fixed
+group of chunks through the kernel in one lockstep.  The pairs are drawn
+by ``parallel.sample_pairs``, the ensembles' sampler, uniform on the
+coprime pairs 1 <= p < q with q in [2^(bits-1), 2^bits - 1]; each chunk's
+column sums run in orbit order, as a running sum would.
 """
 from __future__ import annotations
 
@@ -36,7 +36,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .algorithm import _leading_word_run, _v2
 from .constants import LN2, LOG43
@@ -137,6 +136,8 @@ def transfer_apply(f, t: float, v: float, tail_tol: float = 1e-10,
 @functools.lru_cache(maxsize=4)
 def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only Gauss-Legendre nodes and weights on [-1, 1]."""
+    # imported here: numpy.polynomial costs milliseconds at package import
+    from numpy.polynomial.legendre import leggauss
     rule = leggauss(order)
     for array in rule:
         array.flags.writeable = False
@@ -225,11 +226,11 @@ def birkhoff_estimates(bits: int, samples: int, seed: int,
     with a ``bits``-bit denominator.  Deterministic in ``seed`` regardless of
     ``threads``: chunks of ``_BIRKHOFF_CHUNK`` orbits fix the seeds and the
     per-chunk sums, merged in chunk order; groups of ``_BIRKHOFF_GROUP``
-    chunks fix the lockstep, one group per pool task.  Each chunk draws its
-    pairs with ``parallel.sample_pairs``, as an ensemble chunk does, and a
-    group hands their p and q columns to the leading-word kernel, whose
-    applied batches are checked exactly; every terminal must be a power
-    of two.
+    chunks fix the lockstep, one group per ``map_chunks`` task.  Each chunk
+    draws its pairs with ``parallel.sample_pairs``, as an ensemble chunk
+    does, and a group hands their p and q columns to the leading-word
+    kernel, whose applied batches are checked exactly; every terminal must
+    be a power of two.
     """
     bits = require_int("bits", bits, 16)
     samples = require_int("samples", samples, 2)

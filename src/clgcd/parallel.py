@@ -4,6 +4,11 @@ Work is split into fixed-size chunks whose random substreams are derived from
 (seed, label, chunk index) via SHA-256, and partial results are merged in
 chunk order.  The outcome is therefore a function of the seed alone: bitwise
 identical for any worker count, including the sequential path.
+``map_chunks`` runs the chunks in this process or, with threads > 1, in
+worker processes forked for that one call (POSIX only).  Each worker
+takes a fixed, strided share of the chunks, and only its results and
+exceptions come back, pickled over a pipe: they must pickle, the worker
+function need not.
 ``sample_pairs`` draws one chunk's seeded pairs, uniform on the pairs
 1 <= p < q with q in a range; the ensembles and the Birkhoff orbits both
 draw through it.  ``chunk_counts`` cuts a sample count into chunks.  Each
@@ -15,11 +20,12 @@ from __future__ import annotations
 
 import hashlib
 import math
-import multiprocessing
 import os
+import pickle
 import random
-from concurrent.futures import ProcessPoolExecutor
-from functools import partial
+import signal
+import sys
+import traceback
 
 import numpy as np
 
@@ -28,6 +34,8 @@ from .errors import DomainError, require_int
 
 # values per getrandbits call of a bulk draw, at most
 _BULK_VALUES = 1 << 17
+# 2 * 3 * 5 * 7 * 11 * 13: the primes of the loop draw's cheap gcd
+_SIEVE = 30030
 
 
 def derive_seed(seed: int, label: str, index: int) -> int:
@@ -60,7 +68,9 @@ def sample_pairs(seed: int, label: str, index: int, count: int, q_lo: int,
 
 def _loop_pairs(getrandbits, count, q_lo, q_hi, coprime_only):
     # the rule of sample_pairs, one value at a time, with randrange's
-    # rejection inlined
+    # rejection inlined.  A pair sharing a prime <= 13 fails the cheap gcd
+    # with _SIEVE first, so about 38% of the candidates skip the gcd of
+    # the big ints; together the two reject exactly the pairs it would.
     gcd = math.gcd
     bits = q_hi.bit_length()
     ps, qs = [], []
@@ -79,7 +89,9 @@ def _loop_pairs(getrandbits, count, q_lo, q_hi, coprime_only):
                 p, q = y + 1, x + 1
             else:
                 continue
-            if q >= q_lo and (not coprime_only or gcd(p, q) == 1):
+            if q >= q_lo and (not coprime_only or (
+                    gcd(_SIEVE, p % _SIEVE, q % _SIEVE) == 1
+                    and gcd(p, q) == 1)):
                 break
         p_append(p)
         q_append(q)
@@ -187,24 +199,44 @@ def moments(n: int, total, total_sq, scale: float) -> tuple[float, float]:
 def map_chunks(worker, chunks, threads: int = 1) -> list:
     """Apply ``worker`` to every chunk descriptor, preserving chunk order.
 
-    ``worker`` must be a module-level function (picklable) when threads > 1.
-    The pool never has more processes than chunks or CPUs.  An exception
-    from a worker keeps its type and is noted with its chunk index; a
-    worker process that dies raises ``BrokenProcessPool`` instead of
-    hanging the map.  ``threads`` below 1 raises ``DomainError``.
+    With threads > 1 each call forks P = min(threads, chunks, CPUs)
+    worker processes (POSIX only), and worker k runs the strided share of
+    chunks k, k + P, k + 2P, ...  Only results and exceptions cross back,
+    pickled over a pipe, so ``worker`` need not be picklable (a closure
+    will do) but what it returns or raises must be.  What a worker prints
+    reaches this process's stdout and stderr.  An exception from a
+    worker keeps its type and is noted with its chunk index, and so is
+    the error of a result or exception that cannot be pickled.  A worker
+    process that exits before answering its whole share raises
+    ``BrokenProcessPool`` instead of hanging the map.  Every worker
+    process is reaped before the map returns or raises, and on an error
+    the ones still running are killed first.  ``threads`` below 1 raises
+    ``DomainError``.
     """
     threads = require_int("threads", threads, 1)
-    chunks = list(chunks)
-    processes = min(threads, len(chunks), os.cpu_count() or 1)
-    run = partial(_run_chunk, worker)
+    items = list(enumerate(chunks))
+    processes = min(threads, len(items), os.cpu_count() or 1)
     if processes <= 1:
-        return list(map(run, enumerate(chunks)))
-    # fork: a fresh pool per call must not re-import numpy
-    with ProcessPoolExecutor(
-            processes, mp_context=multiprocessing.get_context("fork")) as pool:
-        # four batches per process, as multiprocessing.Pool.map sends them
-        return list(pool.map(run, enumerate(chunks),
-                             chunksize=-(-len(chunks) // (4 * processes))))
+        return [_run_chunk(worker, item) for item in items]
+    shares = [items[k::processes] for k in range(processes)]
+    results = [None] * len(items)
+    children = []
+    _flush_stdio()      # else each worker would write the buffers out again
+    try:
+        for share in shares:
+            children.append(_fork_share(worker, share))
+        for (_, pipe), share in zip(children, shares):
+            for index, _ in share:
+                results[index] = _receive(pipe, index)
+    except BaseException:
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            os.waitpid(pid, 0)
+    return results
 
 
 def _run_chunk(worker, item):
@@ -212,9 +244,88 @@ def _run_chunk(worker, item):
     try:
         return worker(chunk)
     except Exception as exc:
-        note = f"raised by chunk {index}"
-        if hasattr(exc, "add_note"):
-            exc.add_note(note)
-        else:                       # Python 3.10 has no exception notes
-            exc.args = (*exc.args, note)
+        _note(exc, f"raised by chunk {index}")
         raise
+
+
+def _note(exc, note):
+    if hasattr(exc, "add_note"):
+        exc.add_note(note)
+    else:                           # Python 3.10 has no exception notes
+        exc.args = (*exc.args, note)
+
+
+def _fork_share(worker, share):
+    """Fork a process that runs ``share`` and answers each chunk in order
+    over a pipe; return its pid and the pipe's read end."""
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid == 0:                    # the child: answer, then exit at once
+        status = 1
+        try:
+            os.close(read)
+            with open(write, "wb") as pipe:
+                for item in share:
+                    if not _send(pipe, worker, item):
+                        break
+            status = 0
+        finally:
+            _flush_stdio()
+            os._exit(status)
+    os.close(write)
+    return pid, open(read, "rb")
+
+
+def _flush_stdio():
+    # what a worker prints reaches the parent's stdout and stderr, once
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except (AttributeError, ValueError, OSError):   # None or closed
+            pass
+
+
+def _send(pipe, worker, item):
+    # one answer: its pickled size in 8 bytes, then (ok, result) or
+    # (False, exception); returns ok
+    try:
+        answer = True, _run_chunk(worker, item)
+    except Exception as exc:
+        # the traceback does not pickle; its text rides along as a note
+        _note(exc, "worker traceback:\n" + "".join(
+            traceback.format_tb(exc.__traceback__)))
+        answer = False, exc
+    try:
+        blob = pickle.dumps(answer, pickle.HIGHEST_PROTOCOL)
+    except Exception as exc:
+        what = "result" if answer[0] else f"exception {answer[1]!r}"
+        _note(exc, f"raised by chunk {item[0]} pickling its {what}")
+        answer = False, exc
+        blob = pickle.dumps(answer, pickle.HIGHEST_PROTOCOL)
+    pipe.write(len(blob).to_bytes(8, "little") + blob)
+    pipe.flush()
+    return answer[0]
+
+
+def _receive(pipe, index):
+    # chunk ``index``'s result from ``pipe``, or its exception raised
+    head = pipe.read(8)
+    size = int.from_bytes(head, "little")
+    blob = pipe.read(size)
+    if len(head) < 8 or len(blob) < size:
+        from concurrent.futures.process import BrokenProcessPool
+        raise BrokenProcessPool(
+            f"a worker process exited before answering chunk {index}")
+    try:
+        ok, value = pickle.loads(blob)
+    except Exception as exc:
+        _note(exc, f"raised by chunk {index} unpickling its answer")
+        raise
+    if not ok:
+        raise value
+    return value

@@ -4,6 +4,7 @@ import random
 import statistics
 import subprocess
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from functools import partial
 
 import numpy as np
@@ -163,36 +164,35 @@ def test_moments_of_integers_do_not_cancel():
     assert se == pytest.approx(math.sqrt(1 / 3), rel=1e-15)
 
 
-class _SerialPool:
-    """Stands in for ProcessPoolExecutor: records the pool size and maps
-    in this process, so no worker is started."""
-
-    def __init__(self, sizes, max_workers, mp_context):
-        sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items, chunksize=1):
-        return map(fn, items)
-
-
 @pytest.mark.parametrize("threads, chunks, cpus, sizes", [
     (5000, 2442, 2, [2]),
     (1000, 782, 4, [4]),
     (3, 2, 8, [2]),
-    (2, 10, 1, []),         # one CPU: no pool at all
+    (2, 10, 1, []),         # one CPU: no worker process at all
 ])
 def test_map_chunks_pool_is_capped(monkeypatch, threads, chunks, cpus, sizes):
-    seen = []
-    monkeypatch.setattr(parallel, "ProcessPoolExecutor",
-                        partial(_SerialPool, seen))
+    # the shares handed to forked workers: as many as the cap allows,
+    # worker k taking chunks k, k + P, k + 2P, ...
+    forked = []
+
+    def fork_share(worker, share):
+        forked.append([index for index, _ in share])
+        return fork(worker, share)
+
+    fork = parallel._fork_share
+    monkeypatch.setattr(parallel, "_fork_share", fork_share)
     monkeypatch.setattr(parallel.os, "cpu_count", lambda: cpus)
     assert map_chunks(abs, range(-chunks, 0), threads) == list(range(chunks, 0, -1))
-    assert seen == sizes
+    assert ([len(forked)] if forked else []) == sizes
+    assert forked == [list(range(k, chunks, len(forked)))
+                      for k in range(len(forked))]
+    _assert_no_child_left()
+
+
+def _assert_no_child_left():
+    # every worker process was reaped: this process has no child at all
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("threads", [0, -2, 1.0, 2.0])
@@ -213,8 +213,12 @@ def test_map_chunks_names_the_failing_chunk(monkeypatch, threads):
     monkeypatch.setattr(parallel.os, "cpu_count", lambda: 2)
     with pytest.raises(ValueError, match="bad chunk") as info:
         map_chunks(_fail_on_chunk_3, range(6), threads)
-    assert "raised by chunk 3" in getattr(info.value, "__notes__",
-                                          info.value.args)
+    notes = getattr(info.value, "__notes__", info.value.args)
+    assert "raised by chunk 3" in notes
+    # a worker process sends the text of the traceback it raised with
+    if threads > 1:
+        assert any('in _fail_on_chunk_3\n    raise ValueError("bad chunk")'
+                   in str(n) for n in notes)
 
 
 _DIES_ON_CHUNK_3 = """
@@ -236,9 +240,103 @@ if __name__ == "__main__":
 """
 
 
+_PRINTS_IN_WORKERS = """
+from clgcd import parallel
+
+def work(chunk):
+    print("chunk", chunk)
+    return chunk
+
+if __name__ == "__main__":
+    parallel.os.cpu_count = lambda: 2
+    print("before")                 # still buffered when the workers fork
+    print(parallel.map_chunks(work, range(4), 2))
+"""
+
+
+def test_map_chunks_prints_each_line_once():
+    # stdout is a pipe, so block-buffered: the parent's buffer must not be
+    # written again by a worker, and a worker's own lines must not be lost
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.run([sys.executable, "-c", _PRINTS_IN_WORKERS], env=env,
+                          capture_output=True, text=True, timeout=60)
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "before" and lines[-1] == "[0, 1, 2, 3]"
+    assert sorted(lines[1:-1]) == [f"chunk {c}" for c in range(4)]
+
+
 def test_map_chunks_fails_when_a_worker_dies():
     # the map must raise, not wait forever for the dead worker's chunk
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     proc = subprocess.run([sys.executable, "-c", _DIES_ON_CHUNK_3], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.stdout.split() == ["BrokenProcessPool"]
+
+
+def _exit_in_a_worker(parent, chunk):
+    if chunk == 3:
+        if os.getpid() == parent:   # never end the test process itself
+            raise AssertionError("chunk 3 ran in the parent")
+        os._exit(1)
+    return chunk
+
+
+@pytest.mark.parametrize("worker, error", [
+    (abs, None),
+    (_fail_on_chunk_3, ValueError),
+    (partial(_exit_in_a_worker, os.getpid()), BrokenProcessPool),
+], ids=["succeeds", "chunk_3_raises", "worker_exits"])
+def test_map_chunks_leaves_no_child(monkeypatch, worker, error):
+    monkeypatch.setattr(parallel.os, "cpu_count", lambda: 2)
+    if error is None:
+        assert map_chunks(worker, range(-6, 0), 2) == [6, 5, 4, 3, 2, 1]
+    else:
+        with pytest.raises(error, match="bad chunk|answering chunk 3"):
+            map_chunks(worker, range(6), 2)
+    _assert_no_child_left()
+
+
+def test_map_chunks_runs_a_closure_in_workers(monkeypatch):
+    # only results and exceptions are pickled, so a worker may be a
+    # closure, and each chunk still runs in a forked process
+    monkeypatch.setattr(parallel.os, "cpu_count", lambda: 2)
+    parent, offset = os.getpid(), 10
+    out = map_chunks(lambda chunk: (chunk + offset, os.getpid() != parent),
+                     range(5), 2)
+    assert out == [(chunk + 10, True) for chunk in range(5)]
+    _assert_no_child_left()
+
+
+class _TwoArgError(Exception):
+    # pickles, but unpickling calls __init__ with args = (message,) alone
+    def __init__(self, code, detail):
+        super().__init__(f"{code}: {detail}")
+
+
+def _unpicklable_on_chunk_3(kind, chunk):
+    if chunk != 3:
+        return chunk
+    if kind == "result":
+        return (x for x in ())                  # a generator
+    if kind == "exception":
+        raise ValueError("bad chunk", (x for x in ()))
+    raise _TwoArgError(7, "bad chunk")
+
+
+@pytest.mark.parametrize("kind, note", [
+    ("result", "raised by chunk 3 pickling its result"),
+    ("exception",
+     "raised by chunk 3 pickling its exception ValueError('bad chunk'"),
+    ("unpickling", "raised by chunk 3 unpickling its answer"),
+], ids=["result", "exception", "unpickling"])
+def test_map_chunks_names_the_chunk_of_an_unpicklable_answer(monkeypatch, kind,
+                                                             note):
+    # each fails as a TypeError: a generator does not pickle, and
+    # _TwoArgError's __init__ misses an argument when it is unpickled
+    monkeypatch.setattr(parallel.os, "cpu_count", lambda: 2)
+    with pytest.raises(TypeError) as info:
+        map_chunks(partial(_unpicklable_on_chunk_3, kind), range(6), 2)
+    notes = getattr(info.value, "__notes__", info.value.args)
+    assert any(str(n).startswith(note) for n in notes)
+    _assert_no_child_left()
