@@ -198,6 +198,7 @@ def cl_run(p: int, q: int, convention: str = CANONICAL) -> Trace:
     """
     if p.__class__ is not int or q.__class__ is not int or not 0 < p < q:
         _check_pair(p, q)
+        p, q = int(p), int(q)       # a bool or int subclass is stored as int
     if convention not in (GREEDY, CANONICAL):
         raise DomainError(f"unknown convention {convention!r}")
     exps, terminal_m = _exponent_run(p, q, convention == CANONICAL)

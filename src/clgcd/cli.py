@@ -2,8 +2,10 @@
 experiments, and the conjecture test.
 
 Every subcommand prints aligned text by default and JSON under ``--json``.
-Output is a pure function of argv (and the seed flags, which default to
-DEFAULT_SEED), so identical invocations are byte-identical.  Exit codes:
+An option reaches its handler or library function under the parameter's
+own name, and only when typed, so every default is the function's own; the
+text names what the report says ran.  Output is a pure function of argv,
+so identical invocations are byte-identical.  Exit codes:
 0 success, 1 domain error or unwritable --out, 2 usage error, 3 failed hard
 assertion, 141 (128 + SIGPIPE, silent) when stdout's reader has gone.  An
 --out that is a directory or lies in a missing directory is refused before
@@ -25,7 +27,6 @@ from .errors import (ConsistencyError, ConvergenceError, DomainError,
                      PoleError, require_int)
 from .experiments import (
     COST_KEYS,
-    DEFAULT_SEED,
     OmegaSpec,
     conjecture_check,
     dirichlet_check,
@@ -76,9 +77,9 @@ def _write_csv(path: str, rows) -> None:
 
 # ---------------------------------------------------------------- trace
 
-def _cmd_trace(args) -> str:
-    trace = cl_run(args.p, args.q, args.convention)
-    if args.json:
+def _cmd_trace(p, q, as_json=False, **kw) -> str:
+    trace = cl_run(p, q, **kw)
+    if as_json:
         return _json_out(trace.to_json_dict())
     rows = [["i", "a_i", "shifted", "remainder", "shifted_2",
              "remainder_2", "v(sh)", "v(rem)", "v(gcd)"]]
@@ -116,13 +117,13 @@ def _parse_rational(text: str) -> tuple[int, int]:
     return p, q
 
 
-def _cmd_expand(args) -> str:
-    p, q = _parse_rational(args.rational)
-    trace = cl_run(p, q, args.convention)
+def _cmd_expand(rational, depth=None, as_json=False, **kw) -> str:
+    p, q = _parse_rational(rational)
+    trace = cl_run(p, q, **kw)
     digits = trace.exponents
-    if args.depth is not None:
-        digits = digits[: require_int("depth", args.depth, 1)]
-    if args.json:
+    if depth is not None:
+        digits = digits[: require_int("depth", depth, 1)]
+    if as_json:
         return _json_out({
             "p": p,
             "q": q,
@@ -145,13 +146,13 @@ def _parse_exponents(text: str) -> tuple[int, ...]:
             f"expected comma-separated integers, got {text!r}") from None
 
 
-def _cmd_eval(args) -> str:
-    exponents = _parse_exponents(args.exponents)
+def _cmd_eval(exponents, as_json=False) -> str:
+    exponents = _parse_exponents(exponents)
     value = cf_eval(exponents)
     pair = continuants(exponents)
     if Fraction(pair.P, pair.Q) != value:
         raise ConsistencyError("continuants disagree with direct evaluation")
-    if args.json:
+    if as_json:
         return _json_out({
             "exponents": list(exponents),
             "value": str(value),
@@ -167,9 +168,9 @@ def _cmd_eval(args) -> str:
 
 # ------------------------------------------------------------ constants
 
-def _cmd_constants(args) -> str:
-    table = m_table(terms=args.terms)
-    if args.json:
+def _cmd_constants(as_json=False, **kw) -> str:
+    table = m_table(**kw)
+    if as_json:
         return _json_out(table.to_json_dict())
     lines = [
         f"E = {table.E:.6f}",
@@ -187,26 +188,22 @@ def _cmd_constants(args) -> str:
 
 # --------------------------------------------------------- eigen / taylor
 
-def _cmd_eigen(args) -> str:
-    res = solve_operator(args.t, args.v, n=args.grid, tail_tol=args.tail_tol)
-    if args.json:
-        out = res.to_json_dict()
-        out["tail_tol"] = args.tail_tol
-        if args.eigenfunction:
-            out["eigenfunction"] = res.eigenfunction.tolist()
-        return _json_out(out)
+def _cmd_eigen(eigenfunction=False, as_json=False, **kw) -> str:
+    res = solve_operator(**kw)
+    if as_json:
+        return _json_out(res.to_json_dict(include_eigenfunction=eigenfunction))
     return "\n".join([
-        f"lambda({args.t:g}, {args.v:g}) = {res.eigenvalue:.12f}",
+        f"lambda({res.t:g}, {res.v:g}) = {res.eigenvalue:.12f}",
         f"grid = {res.grid_size}, branches = {res.a_max}, "
-        f"tail_tol = {args.tail_tol:g}, iterations = {res.iterations}",
+        f"tail_tol = {res.tail_tol:g}, iterations = {res.iterations}",
         f"residual = {res.residual:.3e}",
     ])
 
 
-def _cmd_taylor(args) -> str:
-    est = taylor_estimates(n=args.grid)
+def _cmd_taylor(as_json=False, **kw) -> str:
+    est = taylor_estimates(**kw)
     table = m_table()
-    if args.json:
+    if as_json:
         out = est.to_json_dict()
         out["A_closed"] = table.A
         out["D_closed"] = table.D
@@ -259,39 +256,33 @@ def _slope_text(rep) -> str:
     return "\n".join([head, _table(rows), note])
 
 
-def _cmd_experiment(args) -> str:
-    if args.out:
-        _check_out(args.out)
-    if args.slope:
-        if args.exhaustive:
+def _cmd_experiment(N, slope=False, out=None, as_json=False, **kw) -> str:
+    # --exhaustive and --all-pairs arrive as OmegaSpec's mode and coprime_only
+    if out:
+        _check_out(out)
+    if slope:
+        if "mode" in kw:
             raise DomainError("the slope ladder samples; drop --exhaustive")
-        if args.all_pairs:
+        if "coprime_only" in kw:
             raise DomainError("the slope ladder draws coprime pairs only; "
                               "drop --all-pairs")
-        rep = slope_estimate(args.nmax, args.samples, seed=args.seed,
-                             threads=args.threads)
-        if args.out:
+        rep = slope_estimate(N, **kw)
+        if out:
             rows = rep.rungs[0].to_csv_rows() + rep.rungs[1].to_csv_rows()[1:]
-            _write_csv(args.out, rows)
-        return _json_out(rep.to_json_dict()) if args.json else _slope_text(rep)
-    spec = OmegaSpec(
-        N=args.nmax,
-        mode="exhaustive" if args.exhaustive else "sampled",
-        sample_count=args.samples,
-        seed=args.seed,
-        coprime_only=not args.all_pairs,
-    )
-    rep = mean_costs(spec, threads=args.threads)
-    if args.out:
-        _write_csv(args.out, rep.to_csv_rows())
-    return _json_out(rep.to_json_dict()) if args.json else _mean_text(rep)
+            _write_csv(out, rows)
+        return _json_out(rep.to_json_dict()) if as_json else _slope_text(rep)
+    threads = {"threads": kw.pop("threads")} if "threads" in kw else {}
+    rep = mean_costs(OmegaSpec(N, **kw), **threads)
+    if out:
+        _write_csv(out, rep.to_csv_rows())
+    return _json_out(rep.to_json_dict()) if as_json else _mean_text(rep)
 
 
 # ---------------------------------------------- dirichlet / worstcase
 
-def _cmd_dirichlet(args) -> str:
-    rep = dirichlet_check(args.s, args.nmax)
-    if args.json:
+def _cmd_dirichlet(as_json=False, **kw) -> str:
+    rep = dirichlet_check(**kw)
+    if as_json:
         return _json_out(rep.to_json_dict())
     z = 2.0 * rep.s
     return "\n".join([
@@ -301,13 +292,13 @@ def _cmd_dirichlet(args) -> str:
     ])
 
 
-def _cmd_worstcase(args) -> str:
-    if args.out:
-        _check_out(args.out)
-    rep = worstcase_scan(args.nmax)
-    if args.out:
-        _write_csv(args.out, rep.to_csv_rows())
-    if args.json:
+def _cmd_worstcase(out=None, as_json=False, **kw) -> str:
+    if out:
+        _check_out(out)
+    rep = worstcase_scan(**kw)
+    if out:
+        _write_csv(out, rep.to_csv_rows())
+    if as_json:
         return _json_out(rep.to_json_dict())
     rows = [[str(x) for x in row] for row in rep.to_csv_rows()]
     lines = [f"worst-case family (1, 2^n - 1), n = 2..{rep.n_max}", _table(rows)]
@@ -322,16 +313,9 @@ def _cmd_worstcase(args) -> str:
 
 # ----------------------------------------------------------- conjecture
 
-def _cmd_conjecture(args) -> str:
-    rep = conjecture_check(
-        bits=args.bits,
-        trajectory_samples=args.samples,
-        N_max=args.nmax,
-        pair_samples=args.pair_samples,
-        seed=args.seed,
-        threads=args.threads,
-    )
-    if args.json:
+def _cmd_conjecture(as_json=False, **kw) -> str:
+    rep = conjecture_check(**kw)
+    if as_json:
         return _json_out(rep.to_json_dict())
     tol = 0.05 * rep.target
     ok = (abs(rep.e2_estimate - rep.target) <= tol
@@ -343,10 +327,10 @@ def _cmd_conjecture(args) -> str:
     return "\n".join([
         f"conjectured B + D = {rep.target:.6f}",
         f"trajectory e2 = {rep.e2_estimate:.6f} +- {rep.e2_stderr:.6f} "
-        f"({args.bits}-bit, {args.samples} orbits, "
+        f"({rep.birkhoff.bits}-bit, {rep.birkhoff.samples} orbits, "
         f"finite-size scale {rep.e2_systematic:.6f})",
         f"slope(rho)/slope(K) = {rep.ratio_estimate:.6f} +- {rep.ratio_stderr:.6f} "
-        f"(N = {args.nmax}, {args.pair_samples} pairs per rung)",
+        f"(N = {rep.slope.N_max}, {rep.slope.sample_count} pairs per rung)",
         f"difference = {rep.difference:+.6f} +- {rep.combined_stderr:.6f} "
         f"(z = {rep.z_score:+.2f})",
         f"implied D - B: trajectory {imp['trajectory']:.6f}, "
@@ -366,80 +350,81 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, handler, help_text):
-        sp = sub.add_parser(name, help=help_text)
+        sp = sub.add_parser(name, help=help_text,
+                            argument_default=argparse.SUPPRESS)
         sp.set_defaults(handler=handler)
-        sp.add_argument("--json", action="store_true",
+        sp.add_argument("--json", action="store_true", dest="as_json",
                         help="emit JSON instead of text")
         return sp
 
     sp = add("trace", _cmd_trace, "full run table for one pair")
     sp.add_argument("p", type=int)
     sp.add_argument("q", type=int)
-    sp.add_argument("--convention", choices=(GREEDY, CANONICAL),
-                    default=CANONICAL)
+    sp.add_argument("--convention", choices=(GREEDY, CANONICAL))
 
     sp = add("expand", _cmd_expand, "continued-logarithm digits of p/q")
     sp.add_argument("--rational", required=True, metavar="P/Q")
-    sp.add_argument("--depth", type=int, default=None,
+    sp.add_argument("--depth", type=int,
                     help="print only the first k digits")
-    sp.add_argument("--convention", choices=(GREEDY, CANONICAL),
-                    default=CANONICAL)
+    sp.add_argument("--convention", choices=(GREEDY, CANONICAL))
 
     sp = add("eval", _cmd_eval, "rational value of a digit sequence")
     sp.add_argument("--exponents", required=True, metavar="A1,A2,...")
 
     sp = add("constants", _cmd_constants, "closed-form analysis constants")
-    sp.add_argument("--terms", type=int, default=64,
-                    help="series terms for E")
+    sp.add_argument("--terms", type=int, help="series terms for E")
 
     sp = add("eigen", _cmd_eigen, "dominant eigenvalue of the transfer operator")
     sp.add_argument("--t", type=float, required=True)
     sp.add_argument("--v", type=float, required=True)
-    sp.add_argument("--grid", type=int, default=48)
-    sp.add_argument("--tail-tol", type=float, default=1e-14)
+    sp.add_argument("--grid", type=int, dest="n")
+    sp.add_argument("--tail-tol", type=float)
     sp.add_argument("--eigenfunction", action="store_true",
                     help="include eigenfunction samples in JSON output")
 
     sp = add("taylor", _cmd_taylor,
              "eigenvector-perturbation eigenvalue slopes vs A, D")
-    sp.add_argument("--grid", type=int, default=48)
+    sp.add_argument("--grid", type=int, dest="n")
 
     sp = add("experiment", _cmd_experiment, "mean costs or slopes over Omega_N")
-    sp.add_argument("--nmax", type=int, required=True)
-    sp.add_argument("--samples", type=int, default=100_000)
-    sp.add_argument("--exhaustive", action="store_true")
+    sp.add_argument("--nmax", type=int, required=True, dest="N")
+    sp.add_argument("--samples", type=int, dest="sample_count")
+    sp.add_argument("--exhaustive", action="store_const", const="exhaustive",
+                    dest="mode")
     sp.add_argument("--slope", action="store_true",
                     help="two-rung slope ladder nmax/16 -> nmax")
-    sp.add_argument("--all-pairs", action="store_true",
+    sp.add_argument("--all-pairs", action="store_false", dest="coprime_only",
                     help="drop the coprimality filter (exploration only)")
-    sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    sp.add_argument("--threads", type=int, default=1)
+    sp.add_argument("--seed", type=int)
+    sp.add_argument("--threads", type=int)
     sp.add_argument("--out", metavar="FILE.CSV")
 
     sp = add("dirichlet", _cmd_dirichlet, "pair series against the zeta ratio")
-    sp.add_argument("--s", type=float, default=2.0)
-    sp.add_argument("--nmax", type=int, default=10_000)
+    sp.add_argument("--s", type=float)
+    sp.add_argument("--nmax", type=int, dest="N")
 
     sp = add("worstcase", _cmd_worstcase, "extremal family scan and fits")
-    sp.add_argument("--nmax", type=int, default=64)
+    sp.add_argument("--nmax", type=int, dest="n_max")
     sp.add_argument("--out", metavar="FILE.CSV")
 
     sp = add("conjecture", _cmd_conjecture, "two-estimator test of D - B = log 2")
-    sp.add_argument("--bits", type=int, default=256)
-    sp.add_argument("--samples", type=int, default=10_000,
+    sp.add_argument("--bits", type=int)
+    sp.add_argument("--samples", type=int, dest="trajectory_samples",
                     help="trajectory count for the Birkhoff estimator")
-    sp.add_argument("--nmax", type=int, default=1_000_000)
-    sp.add_argument("--pair-samples", type=int, default=1_000_000)
-    sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    sp.add_argument("--threads", type=int, default=1)
+    sp.add_argument("--nmax", type=int, dest="N_max")
+    sp.add_argument("--pair-samples", type=int)
+    sp.add_argument("--seed", type=int)
+    sp.add_argument("--threads", type=int)
 
     return parser
 
 
 def run(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    opts = vars(_build_parser().parse_args(argv))
+    del opts["command"]
+    handler = opts.pop("handler")
     try:
-        output = args.handler(args)
+        output = handler(**opts)
     except (DomainError, PoleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -34,8 +34,9 @@ LOG43 = 2.0 * LN2 - LN3          # log(4/3)
 LOG32 = LN3 - LN2                # log(3/2)
 
 
-# k^2 2^k leaves the float range past k = 1021; 64 terms already bring
-# the truncation error of const_E below 1e-22
+# k^2 2^k leaves the float range past k = 1021; the default 64 terms
+# already bring the truncation error of const_E below 1e-22
+SERIES_TERMS = 64
 SERIES_TERMS_MAX = 1000
 
 
@@ -59,7 +60,7 @@ def series_tail_bound(terms: int) -> float:
     return 2.0 / (k * k * 2.0 ** k) / LOG43
 
 
-def const_E(terms: int = 64) -> float:
+def const_E(terms: int = SERIES_TERMS) -> float:
     """Mean of 2|log x| under the invariant density."""
     return _E_from(_alt_series(terms))
 
@@ -73,7 +74,7 @@ def const_D() -> float:
     return LN2 * LOG32 / LOG43
 
 
-def const_A(terms: int = 64) -> float:
+def const_A(terms: int = SERIES_TERMS) -> float:
     """Entropy of the interval map, E - D."""
     return const_E(terms) - const_D()
 
@@ -83,7 +84,7 @@ def const_B_conjectured() -> float:
     return const_D() - LN2
 
 
-def const_H_conjectured(terms: int = 64) -> float:
+def const_H_conjectured(terms: int = SERIES_TERMS) -> float:
     """Entropy of the dyadic extension under the conjecture.
 
     Evaluated from its own closed form, then cross-checked against
@@ -121,7 +122,7 @@ class ConstantsTable:
     to_json_dict = fields_json
 
 
-def m_table(terms: int = 64) -> ConstantsTable:
+def m_table(terms: int = SERIES_TERMS) -> ConstantsTable:
     terms = require_int("terms", terms, 1, SERIES_TERMS_MAX)
     series = _alt_series(terms)
     E = _E_from(series)

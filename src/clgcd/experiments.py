@@ -75,8 +75,10 @@ EXHAUSTIVE_LIMIT = 10_000
 # the totient sieve of dirichlet_check is cheap well past EXHAUSTIVE_LIMIT
 DIRICHLET_LIMIT = 100_000
 
-# every entry point that takes a seed defaults to this one
+# every entry point that takes a seed defaults to this one, and every
+# slope ladder to this many pairs per rung
 DEFAULT_SEED = 0x5EED
+LADDER_PAIRS = 1_000_000
 
 _CHUNK = 4096
 
@@ -439,7 +441,7 @@ class SlopeReport:
     to_json_dict = fields_json
 
 
-def slope_estimate(N_max: int, sample_count: int = 1_000_000,
+def slope_estimate(N_max: int, sample_count: int = LADDER_PAIRS,
                    seed: int = DEFAULT_SEED, threads: int = 1) -> SlopeReport:
     """Estimate the growth slopes of all mean costs at scale ``N_max``.
 
@@ -464,13 +466,16 @@ def slope_estimate(N_max: int, sample_count: int = 1_000_000,
     for key in COST_KEYS:
         slopes[key] = (hi.means[key] - lo.means[key]) / log_step
         errs[key] = math.hypot(hi.stderrs[key], lo.stderrs[key]) / log_step
-    ratios = {}
+    if slopes["K"] == 0:
+        raise DomainError(f"slope(K) is 0 from N = {ns[0]} to {ns[1]}")
+    ratios = {key: slopes[key] / slopes["K"] for key in COST_KEYS}
     ratio_errs = {}
     for key in COST_KEYS:
-        ratio = slopes[key] / slopes["K"]
-        ratios[key] = ratio
-        ratio_errs[key] = abs(ratio) * math.hypot(
-            errs[key] / slopes[key], errs["K"] / slopes["K"])
+        if slopes[key]:
+            ratio_errs[key] = abs(ratios[key]) * math.hypot(
+                errs[key] / slopes[key], errs["K"] / slopes["K"])
+        else:           # the limit of the expression as slope(c) -> 0
+            ratio_errs[key] = errs[key] / abs(slopes["K"])
     targets = {"K": table.two_over_H, "S": table.D / LN2, **table.mean_costs}
     return SlopeReport(
         N_max=N_max,
@@ -641,7 +646,7 @@ class ConjectureReport:
 
 
 def conjecture_check(bits: int = 256, trajectory_samples: int = 10_000,
-                     N_max: int = 1_000_000, pair_samples: int = 1_000_000,
+                     N_max: int = 1_000_000, pair_samples: int = LADDER_PAIRS,
                      seed: int = DEFAULT_SEED, threads: int = 1,
                      birkhoff: Optional[BirkhoffReport] = None,
                      slope: Optional[SlopeReport] = None) -> ConjectureReport:

@@ -48,9 +48,12 @@ MIN_GAP = 0.2
 #: grid sizes whose shared grid (nodes, weights, cardinal matrices) is kept
 _GRIDS_KEPT = 8
 
-#: largest grid: each n x n matrix takes 8 MB here, and the constants'
-#: accuracy saturates near n = 48
+#: the solvers' default grid, where the constants' accuracy saturates, and
+#: the largest grid: each n x n matrix takes 8 MB there
+GRID_SIZE = 48
 GRID_MAX = 1024
+#: the solvers' default bound on the truncated tail of the branch sum
+TAIL_TOL = 1e-14
 
 
 class CollocationGrid:
@@ -218,7 +221,7 @@ def _branch_matrix(t: float, v: float, grid: CollocationGrid, a_max: int,
 
 
 def build_matrix(t: float, v: float, grid: CollocationGrid,
-                 tail_tol: float = 1e-14) -> np.ndarray:
+                 tail_tol: float = TAIL_TOL) -> np.ndarray:
     """Dense collocation matrix of the operator at (t, v) on ``grid``."""
     _check_params(t, v)
     return _branch_matrix(t, v, grid, truncation_depth(t, v, tail_tol))
@@ -226,14 +229,16 @@ def build_matrix(t: float, v: float, grid: CollocationGrid,
 
 @dataclass
 class SpectralResult:
-    t: float
-    v: float
     grid_size: int
-    a_max: int
     eigenvalue: float
     eigenfunction: np.ndarray   # samples at grid nodes, unit integral
     residual: float             # sup |M phi - lambda phi|
     iterations: int
+    # the operator solved: set by solve_operator, not by dominant_eigen
+    t: float = math.nan
+    v: float = math.nan
+    a_max: int = -1
+    tail_tol: float = math.nan
 
     def to_json_dict(self, include_eigenfunction: bool = False) -> dict:
         d = {
@@ -244,6 +249,7 @@ class SpectralResult:
             "eigenvalue": self.eigenvalue,
             "residual": self.residual,
             "iterations": self.iterations,
+            "tail_tol": self.tail_tol,
         }
         if include_eigenfunction:
             d["eigenfunction"] = self.eigenfunction.tolist()
@@ -251,7 +257,6 @@ class SpectralResult:
 
 
 def dominant_eigen(matrix: np.ndarray, grid: CollocationGrid,
-                   t: float = math.nan, v: float = math.nan, a_max: int = -1,
                    tol: float = 1e-12, max_iter: int = 10_000) -> SpectralResult:
     """Dominant eigenpair by power iteration with Rayleigh quotient estimates.
 
@@ -285,20 +290,21 @@ def dominant_eigen(matrix: np.ndarray, grid: CollocationGrid,
     phi = vec / mass
     residual = float(np.max(np.abs(apply(phi) - lam * phi)))
     return SpectralResult(
-        t=t, v=v, grid_size=n, a_max=a_max,
-        eigenvalue=lam, eigenfunction=phi,
+        grid_size=n, eigenvalue=lam, eigenfunction=phi,
         residual=residual, iterations=it,
     )
 
 
-def solve_operator(t: float, v: float, n: int = 48,
-                   tail_tol: float = 1e-14) -> SpectralResult:
-    """Assemble the matrix at (t, v) and return its dominant eigenpair."""
+def solve_operator(t: float, v: float, n: int = GRID_SIZE,
+                   tail_tol: float = TAIL_TOL) -> SpectralResult:
+    """Assemble the matrix at (t, v) and return its dominant eigenpair,
+    labelled with (t, v), the truncation depth and the tail bound."""
     grid = _shared_grid(n)
-    _check_params(t, v)
-    a_max = truncation_depth(t, v, tail_tol)
-    return dominant_eigen(_branch_matrix(t, v, grid, a_max), grid,
-                          t=t, v=v, a_max=a_max)
+    res = dominant_eigen(build_matrix(t, v, grid, tail_tol), grid)
+    # set in place: dataclasses.replace would cost 1-2% of a solve
+    res.t, res.v, res.tail_tol = t, v, tail_tol
+    res.a_max = truncation_depth(t, v, tail_tol)
+    return res
 
 
 @dataclass
@@ -333,7 +339,8 @@ class TaylorEstimates:
         }
 
 
-def taylor_estimates(n: int = 48, tail_tol: float = 1e-14) -> TaylorEstimates:
+def taylor_estimates(n: int = GRID_SIZE,
+                     tail_tol: float = TAIL_TOL) -> TaylorEstimates:
     """-d(lambda)/dt and d(lambda)/dv at (1, 0) on an n-point grid.
 
     One closed-form branch sum builds M and its companion
@@ -344,8 +351,8 @@ def taylor_estimates(n: int = 48, tail_tol: float = 1e-14) -> TaylorEstimates:
     grid = _shared_grid(n)
     a_max = truncation_depth(1.0, 0.0, tail_tol)
     m, m_a = _branch_matrix(1.0, 0.0, grid, a_max, weighted=True)
-    right = dominant_eigen(m, grid, t=1.0, v=0.0, a_max=a_max)
-    left = dominant_eigen(m.T, grid, t=1.0, v=0.0, a_max=a_max)
+    right = dominant_eigen(m, grid)
+    left = dominant_eigen(m.T, grid)
     phi, ell = right.eigenfunction, left.eigenfunction
     norm = float(ell.dot(phi))
     shift = LN2 * float(ell.dot(m_a.dot(phi))) / norm

@@ -140,6 +140,10 @@ def test_run_accepts_bools_and_int_subclasses():
         pass
 
     assert cl_run(True, 3) == cl_run(1, 3)
+    # stored as the int it stands for, so the trace serialises as 1's does
+    assert type(cl_run(True, 3).p) is int
+    assert cl_run(True, 3).to_json_dict()["input"] == [1, 3]
+    assert type(cl_run(Int(31), Int(75)).q) is int
     assert cl_run(Int(31), Int(75)).exponents == (1, 2, 2, 1, 0, 0, 0)
     with pytest.raises(DomainError):
         cl_run(Int(5), Int(5))

@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import subprocess
@@ -11,8 +12,9 @@ from clgcd import cli
 from clgcd.cli import run
 from clgcd.constants import m_table
 from clgcd.errors import ConsistencyError, DomainError
-from clgcd.experiments import (conjecture_check, dirichlet_check,
-                               slope_estimate, worstcase_scan)
+from clgcd.experiments import (LADDER_PAIRS, conjecture_check,
+                               dirichlet_check, slope_estimate,
+                               worstcase_scan)
 from clgcd.spectral import solve_operator
 
 TRACE_31_75 = """\
@@ -150,16 +152,19 @@ def test_eigen_text_names_the_tail_bound(capsys):
 
 
 def test_eigen_json_names_the_tail_bound(capsys):
-    code, out, _ = invoke(capsys, "eigen", "--t", "1.1", "--v", "0.1",
-                          "--grid", "32", "--tail-tol", "1e-10", "--json")
-    assert code == 0
-    d = json.loads(out)
     res = solve_operator(1.1, 0.1, n=32, tail_tol=1e-10)
-    assert d["tail_tol"] == 1e-10
-    assert d["a_max"] == res.a_max
-    assert d["iterations"] == res.iterations
-    assert d["residual"] == res.residual
-    assert "eigenfunction" not in d
+    keys = ["t", "v", "grid_size", "a_max", "eigenvalue", "residual",
+            "iterations", "tail_tol"]
+    for extra in ((), ("--eigenfunction",)):
+        code, out, _ = invoke(capsys, "eigen", "--t", "1.1", "--v", "0.1",
+                              "--grid", "32", "--tail-tol", "1e-10",
+                              "--json", *extra)
+        assert code == 0
+        d = json.loads(out)
+        assert list(d) == keys + ["eigenfunction"] * len(extra)
+        assert d["tail_tol"] == res.tail_tol == 1e-10
+        # a_max, iterations and residual included
+        assert d == res.to_json_dict(include_eigenfunction=bool(extra))
 
 
 def test_eigen_outside_box(capsys):
@@ -379,6 +384,136 @@ def test_json_prints_the_report_unpatched(capsys, argv, report):
     assert out == json.dumps(report().to_json_dict(), indent=2) + "\n"
 
 
+class _Called(Exception):
+    """Ends a run at the library entry point it reached."""
+
+
+# every library function and class the subcommands call with options
+_ENTRY_POINTS = ("cl_run", "cf_eval", "m_table", "solve_operator",
+                 "taylor_estimates", "OmegaSpec", "mean_costs",
+                 "slope_estimate", "dirichlet_check", "worstcase_scan",
+                 "conjecture_check")
+
+
+def _record_calls(monkeypatch):
+    """Replace each entry point in the CLI's namespace by a recorder of
+    the arguments it is given, by the real signature's parameter names;
+    a name the signature lacks fails the bind.  The recorded OmegaSpec
+    returns "spec"; every other recorder ends the run."""
+    calls = []
+
+    def recorder(name, real):
+        def record(*args, **kwargs):
+            calls.append((name, dict(
+                inspect.signature(real).bind(*args, **kwargs).arguments)))
+            if name != "OmegaSpec":
+                raise _Called
+            return "spec"
+        return record
+
+    for name in _ENTRY_POINTS:
+        monkeypatch.setattr(cli, name, recorder(name, getattr(cli, name)))
+    return calls
+
+
+_EXP = ("experiment", "--nmax", "65536")
+
+# each subcommand with its required arguments only: no option is passed
+_REQUIRED = [
+    (("trace", "31", "75"), [("cl_run", {"p": 31, "q": 75})]),
+    (("expand", "--rational", "31/75"), [("cl_run", {"p": 31, "q": 75})]),
+    (("eval", "--exponents", "1,2"), [("cf_eval", {"exponents": (1, 2)})]),
+    (("constants",), [("m_table", {})]),
+    (("eigen", "--t", "1", "--v", "0"),
+     [("solve_operator", {"t": 1.0, "v": 0.0})]),
+    (("taylor",), [("taylor_estimates", {})]),
+    (_EXP, [("OmegaSpec", {"N": 65536}), ("mean_costs", {"spec": "spec"})]),
+    ((*_EXP, "--slope"), [("slope_estimate", {"N_max": 65536})]),
+    (("dirichlet",), [("dirichlet_check", {})]),
+    (("worstcase",), [("worstcase_scan", {})]),
+    (("conjecture",), [("conjecture_check", {})]),
+]
+
+# each subcommand with every option it has: each typed value arrives
+# under the parameter's own name
+_EVERY_OPTION = [
+    (("trace", "31", "75", "--convention", "greedy", "--json"),
+     [("cl_run", {"p": 31, "q": 75, "convention": "greedy"})]),
+    (("expand", "--rational", "31/75", "--depth", "2", "--convention",
+      "greedy", "--json"),
+     [("cl_run", {"p": 31, "q": 75, "convention": "greedy"})]),
+    (("eval", "--exponents", "1,2", "--json"),
+     [("cf_eval", {"exponents": (1, 2)})]),
+    (("constants", "--terms", "7", "--json"), [("m_table", {"terms": 7})]),
+    (("eigen", "--t", "1.1", "--v", "0.1", "--grid", "32", "--tail-tol",
+      "1e-10", "--eigenfunction", "--json"),
+     [("solve_operator", {"t": 1.1, "v": 0.1, "n": 32, "tail_tol": 1e-10})]),
+    (("taylor", "--grid", "32", "--json"), [("taylor_estimates", {"n": 32})]),
+    ((*_EXP, "--samples", "500", "--exhaustive", "--all-pairs", "--seed",
+      "3", "--threads", "2", "--out", "OUT", "--json"),
+     [("OmegaSpec", {"N": 65536, "mode": "exhaustive", "sample_count": 500,
+                     "seed": 3, "coprime_only": False}),
+      ("mean_costs", {"spec": "spec", "threads": 2})]),
+    ((*_EXP, "--slope", "--samples", "500", "--seed", "3", "--threads", "2",
+      "--out", "OUT", "--json"),
+     [("slope_estimate", {"N_max": 65536, "sample_count": 500, "seed": 3,
+                          "threads": 2})]),
+    (("dirichlet", "--s", "2.5", "--nmax", "500", "--json"),
+     [("dirichlet_check", {"s": 2.5, "N": 500})]),
+    (("worstcase", "--nmax", "9", "--out", "OUT", "--json"),
+     [("worstcase_scan", {"n_max": 9})]),
+    (("conjecture", "--bits", "16", "--samples", "64", "--nmax", "65536",
+      "--pair-samples", "500", "--seed", "3", "--threads", "2", "--json"),
+     [("conjecture_check", {"bits": 16, "trajectory_samples": 64,
+                            "N_max": 65536, "pair_samples": 500, "seed": 3,
+                            "threads": 2})]),
+]
+
+
+def _ids(cases, suffix=""):
+    return [argv[0] + (" --slope" if "--slope" in argv else "") + suffix
+            for argv, _ in cases]
+
+
+@pytest.mark.parametrize("argv, want", _REQUIRED + _EVERY_OPTION,
+                         ids=_ids(_REQUIRED) + _ids(_EVERY_OPTION, " (all)"))
+def test_cli_forwards_only_typed_options(monkeypatch, tmp_path, argv, want):
+    calls = _record_calls(monkeypatch)
+    out = str(tmp_path / "x.csv")
+    with pytest.raises(_Called):
+        run([out if arg == "OUT" else arg for arg in argv])
+    assert calls == want
+    assert os.listdir(tmp_path) == []
+
+
+def test_every_option_is_forwarded_in_a_case():
+    # a new option must join _EVERY_OPTION above
+    sub = next(action for action in cli._build_parser()._actions
+               if action.dest == "command")
+    typed = {}
+    for argv, _ in _EVERY_OPTION:
+        typed.setdefault(argv[0], set()).update(argv)
+    for name, parser in sub.choices.items():
+        for action in parser._actions:
+            for flag in action.option_strings:
+                assert flag in typed[name] or flag in ("-h", "--help"), (
+                    name, flag)
+
+
+def test_experiment_slope_draws_the_library_ladder(monkeypatch):
+    # without --samples the ladder draws slope_estimate's own 10^6 pairs
+    # per rung, as c07 and conjecture_check do; the CLI drew 10^5
+    calls = _record_calls(monkeypatch)
+    with pytest.raises(_Called):
+        run([*_EXP, "--slope"])
+    bound = inspect.signature(slope_estimate).bind(**calls[0][1])
+    bound.apply_defaults()
+    assert bound.arguments["sample_count"] == LADDER_PAIRS == 10 ** 6
+    pair_samples = inspect.signature(conjecture_check).parameters[
+        "pair_samples"]
+    assert pair_samples.default == LADDER_PAIRS
+
+
 def test_domain_error_exits_1(capsys):
     code, _, err = invoke(capsys, "trace", "75", "31")
     assert code == 1
@@ -404,15 +539,18 @@ def test_domain_error_exits_1(capsys):
     ("worstcase", "--nmax", "3"),
     ("conjecture", "--bits", "8"),
     ("conjecture", "--samples", "1"),
+    ("experiment", "--slope", "--nmax", "65536", "--samples", "2",
+     "--seed", "26"),
 ])
 def test_out_of_range_floats_and_terms_exit_1(capsys, argv):
     # non-finite tolerances and exponents, more series terms than the
-    # float range allows, and sizes and counts out of their ranges are
-    # domain errors, not tracebacks or nan output
+    # float range allows, sizes and counts out of their ranges, and a
+    # ladder whose slope(K) is 0 are domain errors, not tracebacks or nan
+    # output
     code, out, err = invoke(capsys, *argv)
     assert code == 1
     assert out == ""
-    assert err.startswith("error:")
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [

@@ -623,6 +623,24 @@ def test_slope_step_is_the_log_of_the_rung_ratio():
             hi.stderrs[key], lo.stderrs[key]) / step
 
 
+def test_slope_ladder_at_a_zero_slope():
+    # two pairs per rung: seed 0 gives slope(rho) = 0 exactly, and its ratio
+    # error divided by it; seed 26 gives slope(K) = 0, which every ratio
+    # divides by
+    rep = slope_estimate(1 << 16, 2, seed=0)
+    assert rep.slopes["rho"] == 0.0
+    assert rep.ratio_stderrs["rho"] == (rep.slope_stderrs["rho"]
+                                        / abs(rep.slopes["K"]))
+    for key in set(COST_KEYS) - {"rho"}:
+        assert rep.slopes[key] != 0.0
+        assert rep.ratio_stderrs[key] == abs(rep.ratios[key]) * math.hypot(
+            rep.slope_stderrs[key] / rep.slopes[key],
+            rep.slope_stderrs["K"] / rep.slopes["K"])
+    with pytest.raises(DomainError, match="slope\\(K\\) is 0 from "
+                                          "N = 4096 to 65536"):
+        slope_estimate(1 << 16, 2, seed=26)
+
+
 def test_reports_store_the_checked_int():
     # a NumPy integer or a bool given as a seed, count or term number is
     # stored as the int it stands for, so the reports serialise as the
