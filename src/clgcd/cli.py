@@ -189,6 +189,9 @@ def _cmd_constants(as_json=False, **kw) -> str:
 # --------------------------------------------------------- eigen / taylor
 
 def _cmd_eigen(eigenfunction=False, as_json=False, **kw) -> str:
+    if eigenfunction and not as_json:
+        raise DomainError("the eigenfunction is printed in JSON only; "
+                          "add --json")
     res = solve_operator(**kw)
     if as_json:
         return _json_out(res.to_json_dict(include_eigenfunction=eigenfunction))
@@ -271,6 +274,9 @@ def _cmd_experiment(N, slope=False, out=None, as_json=False, **kw) -> str:
             rows = rep.rungs[0].to_csv_rows() + rep.rungs[1].to_csv_rows()[1:]
             _write_csv(out, rows)
         return _json_out(rep.to_json_dict()) if as_json else _slope_text(rep)
+    if "sample_count" in kw and "mode" in kw:
+        raise DomainError("the exhaustive run takes every pair; "
+                          "drop --samples")
     threads = {"threads": kw.pop("threads")} if "threads" in kw else {}
     rep = mean_costs(OmegaSpec(N, **kw), **threads)
     if out:

@@ -118,8 +118,8 @@ def transfer_apply(f, t: float, v: float, tail_tol: float = 1e-10,
     nodes.  Values between nodes are obtained by the grid's barycentric
     interpolant.  The branch sum is ``spectral``'s collocation matrix,
     truncated by ``spectral.truncation_depth`` at ``tail_tol`` and sup|f|
-    and summed in closed form (one linear solve and about 2 log2(a_max)
-    matrix products, so the thousand branches needed near t - v = 0.05 cost
+    and summed by binary doubling (2 to 3 log2(a_max) matrix products and
+    no linear solve, so the thousand branches needed near t - v = 0.05 cost
     little more than a few); unlike ``build_matrix`` it does not restrict
     (t, v) to the admissible box.  The default grid is the solvers' shared
     64-point grid.

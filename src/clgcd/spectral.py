@@ -5,8 +5,8 @@
 on [0, 1].  The operator is discretized on a Chebyshev-Lobatto grid with
 Lagrange cardinal interpolation; the branch sum is truncated once its
 geometric tail is provably below a tolerance.  The branches are dyadic, so
-the truncated sum is a matrix geometric series L_0 (I - G)^-1 (I - G^(A+1)),
-G being 2^(v-t) times the cardinal matrix of x -> x/2; this is exact because
+the truncated sum is a matrix geometric series L_0 (I + G + ... + G^A), G
+being 2^(v-t) times the cardinal matrix of x -> x/2; this is exact because
 the interpolant reproduces polynomials of degree < n (Berrut-Trefethen, SIAM
 Review 2004).  At (t, v) = (1, 0) the operator is the density transformer
 of the shift-and-subtract map, with dominant eigenvalue 1
@@ -17,16 +17,16 @@ them by first-order eigenvalue perturbation, d(lambda) = l^T (dM) phi / l^T phi
 with l and phi the left and right dominant eigenvectors of the collocation
 matrix M, to about 1e-13 of the closed forms.
 
-Assembling a matrix takes one linear solve and about 2 log2(A) matrix
-products, whatever the truncation depth A.  Its two cardinal matrices, at x/2
-and at 1/(1+x), depend on the nodes alone: a grid builds them once, on first
-use, and the solvers share one grid per size n from a small bounded cache, so
+Assembling a matrix takes 2 to 3 log2(A) matrix products and no linear
+solve, whatever the truncation depth A: the series is summed by binary
+doubling over the bits of A + 1.  Its two cardinal matrices, at x/2 and at
+1/(1+x), depend on the nodes alone: a grid builds them once, on first use,
+and the solvers share one grid per size n from a small bounded cache, so
 every solve at that size reuses them.  Everything a grid holds is read-only,
 and everything is deterministic.  Products go through the bound
-``ndarray.dot``, not ``@`` or ``np.linalg.matrix_power``: at n <= 64 the
-``matmul`` gufunc's per-call dispatch costs about as much as the product,
-while ``dot`` reaches the same BLAS routines, bit for bit (the tests compare
-the two byte for byte).
+``ndarray.dot``, not ``@``: at n <= 64 the ``matmul`` gufunc's per-call
+dispatch costs about as much as the product, while ``dot`` reaches the same
+BLAS routines, bit for bit (the tests compare the two byte for byte).
 """
 from __future__ import annotations
 
@@ -134,23 +134,6 @@ def _identity(n: int) -> np.ndarray:
     return eye
 
 
-def _matrix_power(a: np.ndarray, k: int) -> np.ndarray:
-    """a^k for k >= 0 by ``np.linalg.matrix_power``'s products, in its
-    order (its k = 3 shortcut included), so bit for bit the same; k = 0
-    gives the shared read-only identity and k = 1 gives ``a`` itself."""
-    if k == 0:
-        return _identity(a.shape[0])
-    if k == 3:
-        return a.dot(a).dot(a)
-    z = result = None
-    while k > 0:
-        z = a if z is None else z.dot(z)
-        k, bit = divmod(k, 2)
-        if bit:
-            result = z if result is None else result.dot(z)
-    return result
-
-
 def _clenshaw_curtis_weights(n: int) -> np.ndarray:
     """Clenshaw-Curtis weights for n Chebyshev-Lobatto points on [-1, 1]."""
     N = n - 1
@@ -198,26 +181,41 @@ def _branch_matrix(t: float, v: float, grid: CollocationGrid, a_max: int,
     Halving the argument of a cardinal function leaves a polynomial of degree
     n-1, which the interpolant reproduces; so with H the cardinal matrix at
     the halved nodes, branch a's cardinal matrix is L_a = L_0 H^a, and with
-    G = 2^(v-t) H the sum is L_0 (I - G)^-1 (I - G^(A+1)), times the row
-    factor (1+x)^(-2t).  That costs one linear solve and about 2 log2(A)
-    matrix products; the two cardinal matrices, H and L_0, are the grid's own,
-    built once per grid.  ``weighted`` also returns the
-    a-weighted sum M_a = L_0 G (I - G)^-2 (I - (A+1) G^A + A G^(A+1)), with
-    the same row factor.
+    G = 2^(v-t) H the sum is L_0 S_(A+1), S_k = sum_{a<k} G^a, times the row
+    factor (1+x)^(-2t).  ``weighted`` also returns the a-weighted sum
+    M_a = L_0 T_(A+1), T_k = sum_{a<k} a G^a, with the same row factor.
+
+    One pass over the bits of A + 1, from k = 1, carries S_k, T_k and
+    P_k = G^k: a doubling takes S <- S + S P, T <- T + P (T + k S) and
+    P <- P P, and a set bit takes S <- S + P, T <- T + k P and P <- P G.
+    That is two matrix products per doubling and one per set bit, one more
+    per doubling when weighted, and no linear solve; the two cardinal
+    matrices, H and L_0, are the grid's own, built once per grid.
     """
-    x, eye = grid.nodes, _identity(grid.n)
     halving, branch0 = grid._cardinals
     g = 2.0 ** (v - t) * halving
-    g_top = _matrix_power(g, a_max)
-    g_end = g_top.dot(g)
-    rows = ((1.0 + x) ** (-2.0 * t))[:, None]
-    # rows L_0 (I - G)^-1, as the transpose of one solve
-    head = rows * np.linalg.solve((eye - g).T, branch0.T).T
-    m = head - head.dot(g_end)
+    k, s, p = 1, _identity(grid.n), g
+    t_sum = np.zeros_like(g)
+    bits = bin(a_max + 1)[3:]
+    for i, bit in enumerate(bits, 1 - len(bits)):   # i = 0 at the last bit
+        if weighted:
+            t_sum = t_sum + p.dot(t_sum + k * s)
+        s = s + s.dot(p)
+        k *= 2
+        if i or bit == "1":         # the last P is never read
+            p = p.dot(p)
+        if bit == "1":
+            if weighted:
+                t_sum = t_sum + k * p
+            s = s + p
+            k += 1
+            if i:
+                p = p.dot(g)
+    rows = ((1.0 + grid.nodes) ** (-2.0 * t))[:, None]
+    m = rows * branch0.dot(s)
     if not weighted:
         return m
-    head = np.linalg.solve((eye - g).T, head.T).T
-    return m, head.dot(g).dot(eye - (a_max + 1) * g_top + a_max * g_end)
+    return m, rows * branch0.dot(t_sum)
 
 
 def build_matrix(t: float, v: float, grid: CollocationGrid,
@@ -300,10 +298,11 @@ def solve_operator(t: float, v: float, n: int = GRID_SIZE,
     """Assemble the matrix at (t, v) and return its dominant eigenpair,
     labelled with (t, v), the truncation depth and the tail bound."""
     grid = _shared_grid(n)
-    res = dominant_eigen(build_matrix(t, v, grid, tail_tol), grid)
+    _check_params(t, v)
+    a_max = truncation_depth(t, v, tail_tol)
+    res = dominant_eigen(_branch_matrix(t, v, grid, a_max), grid)
     # set in place: dataclasses.replace would cost 1-2% of a solve
-    res.t, res.v, res.tail_tol = t, v, tail_tol
-    res.a_max = truncation_depth(t, v, tail_tol)
+    res.t, res.v, res.a_max, res.tail_tol = t, v, a_max, tail_tol
     return res
 
 
@@ -343,7 +342,7 @@ def taylor_estimates(n: int = GRID_SIZE,
                      tail_tol: float = TAIL_TOL) -> TaylorEstimates:
     """-d(lambda)/dt and d(lambda)/dv at (1, 0) on an n-point grid.
 
-    One closed-form branch sum builds M and its companion
+    One doubling pass over the branches builds M and its companion
     M_a = sum_a a 2^(a(v-t)) L_a (same row factor), so that dM/dv = ln2 M_a and
     dM/dt = -ln2 M_a - 2 ln(1+x) M.  With M phi = lambda phi this gives
     D = ln2 l^T M_a phi / l^T phi and A = D + 2 lambda l^T(ln(1+x) phi) / l^T phi.

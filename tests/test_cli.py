@@ -237,6 +237,26 @@ def test_experiment_slope_rejects_exhaustive(capsys):
     assert "slope ladder" in err
 
 
+def test_experiment_exhaustive_rejects_samples(capsys):
+    # the exhaustive run took every pair and dropped the count unread
+    code, out, err = invoke(capsys, "experiment", "--nmax", "60",
+                            "--exhaustive", "--samples", "7")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "--samples" in err
+
+
+def test_eigen_text_rejects_eigenfunction(capsys):
+    # the text report has no eigenfunction; the flag was dropped unread
+    code, out, err = invoke(capsys, "eigen", "--t", "1", "--v", "0",
+                            "--grid", "16", "--eigenfunction")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "--json" in err
+
+
 def test_experiment_slope_rejects_all_pairs(capsys):
     code, out, err = invoke(capsys, "experiment", "--nmax", "65536",
                             "--samples", "200", "--slope", "--all-pairs")
@@ -449,10 +469,15 @@ _EVERY_OPTION = [
       "1e-10", "--eigenfunction", "--json"),
      [("solve_operator", {"t": 1.1, "v": 0.1, "n": 32, "tail_tol": 1e-10})]),
     (("taylor", "--grid", "32", "--json"), [("taylor_estimates", {"n": 32})]),
-    ((*_EXP, "--samples", "500", "--exhaustive", "--all-pairs", "--seed",
-      "3", "--threads", "2", "--out", "OUT", "--json"),
-     [("OmegaSpec", {"N": 65536, "mode": "exhaustive", "sample_count": 500,
-                     "seed": 3, "coprime_only": False}),
+    ((*_EXP, "--samples", "500", "--all-pairs", "--seed", "3", "--threads",
+      "2", "--out", "OUT", "--json"),
+     [("OmegaSpec", {"N": 65536, "sample_count": 500, "seed": 3,
+                     "coprime_only": False}),
+      ("mean_costs", {"spec": "spec", "threads": 2})]),
+    ((*_EXP, "--exhaustive", "--all-pairs", "--threads", "2", "--out", "OUT",
+      "--json"),
+     [("OmegaSpec", {"N": 65536, "mode": "exhaustive",
+                     "coprime_only": False}),
       ("mean_costs", {"spec": "spec", "threads": 2})]),
     ((*_EXP, "--slope", "--samples", "500", "--seed", "3", "--threads", "2",
       "--out", "OUT", "--json"),
@@ -471,7 +496,8 @@ _EVERY_OPTION = [
 
 
 def _ids(cases, suffix=""):
-    return [argv[0] + (" --slope" if "--slope" in argv else "") + suffix
+    return [argv[0] + "".join(f" {flag}" for flag in ("--slope", "--exhaustive")
+                              if flag in argv) + suffix
             for argv, _ in cases]
 
 

@@ -14,7 +14,6 @@ from clgcd.spectral import (
     TaylorEstimates,
     _branch_matrix,
     _clenshaw_curtis_weights,
-    _matrix_power,
     _shared_grid,
     build_matrix,
     dominant_eigen,
@@ -142,8 +141,9 @@ def _looped_branch_sums(t, v, grid, a_max):
 @pytest.mark.parametrize("n", [16, 64])
 @pytest.mark.parametrize("t,v", [(1.0, 0.0), (0.6, 0.34), (1.4, -0.4)])
 def test_branch_sum_closed_form_matches_the_loop(t, v, n):
+    # every bit pattern of A + 1 up to 7 bits, and the solvers' depth
     grid = CollocationGrid(n)
-    for a_max in (0, 1, 5, truncation_depth(t, v, 1e-14)):
+    for a_max in (*range(71), truncation_depth(t, v, 1e-14)):
         m, m_a = _branch_matrix(t, v, grid, a_max, weighted=True)
         loop_m, loop_m_a = _looped_branch_sums(t, v, grid, a_max)
         assert np.max(np.abs(m - loop_m)) < 1e-13, a_max
@@ -159,39 +159,51 @@ def test_transfer_with_a_thousand_branches_matches_the_loop(n):
     a_max = truncation_depth(t, v, 1e-14)
     assert a_max > 1000
     out = transfer_apply(np.ones(n), t, v, tail_tol=1e-14, grid=grid)
-    loop = _looped_branch_sums(t, v, grid, a_max)[0] @ np.ones(n)
-    assert np.max(np.abs(out - loop)) < 1e-13
+    loop_m, loop_m_a = _looped_branch_sums(t, v, grid, a_max)
+    assert np.max(np.abs(out - loop_m @ np.ones(n))) < 1e-13
+    m, m_a = _branch_matrix(t, v, grid, a_max, weighted=True)
+    assert np.max(np.abs(m - loop_m)) < 1e-13
+    # M_a's entries reach about 800 here, where one ulp is 1.1e-13, so its
+    # bound is taken relative to its largest entry
+    scale = np.max(np.abs(loop_m_a))
+    assert np.max(np.abs(m_a - loop_m_a)) < 1e-13 * scale
 
 
-@pytest.mark.parametrize("n", [16, 32, 64])
-def test_matrix_power_matches_numpy_bit_for_bit(n):
-    halving = _shared_grid(n)._cardinals[0]
-    for t, v in ((1.0, 0.0), (0.6, 0.34), (1.4, -0.4)):
-        g = 2.0 ** (v - t) * halving
-        for k in range(301):
-            ref = np.linalg.matrix_power(g, k)
-            assert _matrix_power(g, k).tobytes() == ref.tobytes(), (t, v, k)
+def test_operator_paths_run_without_a_linear_solve(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.solve called")
+
+    monkeypatch.setattr(np.linalg, "solve", refuse)
+    assert abs(solve_operator(1.0, 0.0, n=16).eigenvalue - 1.0) < 1e-9
+    assert taylor_estimates(n=16).grid_size == 16
+    assert transfer_apply(psi, 1.0, 0.0).shape == (64,)
 
 
 def _reference_branch_matrix(t, v, grid, a_max):
-    """Both closed-form branch sums with ``@`` and ``matrix_power``."""
-    eye = np.eye(grid.n)
+    """Both branch sums by the doubling over the bits of A + 1, with ``@``
+    and every product taken."""
     halving, branch0 = grid._cardinals
     g = 2.0 ** (v - t) * halving
-    g_top = np.linalg.matrix_power(g, a_max)
-    g_end = g_top @ g
+    k, s, p, t_sum = 1, np.eye(grid.n), g, np.zeros((grid.n, grid.n))
+    for bit in bin(a_max + 1)[3:]:
+        t_sum = t_sum + p @ (t_sum + k * s)
+        s = s + s @ p
+        p = p @ p
+        k *= 2
+        if bit == "1":
+            t_sum = t_sum + k * p
+            s = s + p
+            p = p @ g
+            k += 1
     rows = ((1.0 + grid.nodes) ** (-2.0 * t))[:, None]
-    head = rows * np.linalg.solve((eye - g).T, branch0.T).T
-    m = head - head @ g_end
-    head = np.linalg.solve((eye - g).T, head.T).T
-    return m, head @ g @ (eye - (a_max + 1) * g_top + a_max * g_end)
+    return rows * (branch0 @ s), rows * (branch0 @ t_sum)
 
 
 @pytest.mark.parametrize("n", [16, 48])
 @pytest.mark.parametrize("t,v", [(1.0, 0.0), (0.7, -0.3), (1.3, 0.35)])
 def test_branch_matrix_matches_the_matmul_reference(t, v, n):
     grid = _shared_grid(n)
-    for a_max in (0, 1, 2, 3, 4, truncation_depth(t, v, 1e-14)):
+    for a_max in (*range(16), truncation_depth(t, v, 1e-14)):
         ref_m, ref_m_a = _reference_branch_matrix(t, v, grid, a_max)
         m, m_a = _branch_matrix(t, v, grid, a_max, weighted=True)
         assert m.tobytes() == ref_m.tobytes(), a_max
