@@ -10,9 +10,9 @@ it and display the pieces.
 import random
 from fractions import Fraction
 
-from clgcd.algorithm import cl_run, cost_vector
-from clgcd.dyadic import IntMatrix2, dyadic_norm, dyadic_valuation, g2, \
-    lft_apply, lft_derivative_at
+from clgcd.algorithm import cl_run, continuants, cost_vector
+from clgcd.dyadic import dyadic_norm, dyadic_valuation, g2, lft_apply, \
+    lft_derivative_at
 
 rng = random.Random(7)
 
@@ -22,9 +22,7 @@ for trial in range(4):
     run = cl_run(p, q)
     cost = cost_vector(run.exponents)
 
-    m = IntMatrix2.step_matrix(run.exponents[0])
-    for a in run.exponents[1:]:
-        m = m @ IntMatrix2.step_matrix(a)
+    m = continuants(run.exponents).matrix
     d = 1 << cost.shifts                     # |det| of the product
     h0 = lft_apply(m, Fraction(0))
     dh0 = lft_derivative_at(m, Fraction(0))
@@ -33,7 +31,7 @@ for trial in range(4):
     print(f"  h(0) = {h0}, h'(0) = {dh0}, det weight d = 2^{cost.shifts}")
     assert Fraction(cost.Q) ** 2 == d / abs(dh0)
     assert Fraction(cost.R) ** 2 == 1 / (abs(dh0)
-                                         * dyadic_norm(dh0).value()
+                                         * Fraction(2) ** dyadic_norm(dh0)
                                          * g2(h0))
     print(f"  Q^2 = d/|h'(0)|          -> Q = {cost.Q}")
     print(f"  R^2 = 1/(|h'|.|h'|_2.G2) -> R = {cost.R}")

@@ -42,6 +42,7 @@ import numpy as np
 from .constants import LN2
 from .dyadic import (
     IntMatrix2,
+    dyadic_norm,
     dyadic_valuation,
     g2,
     lft_apply,
@@ -540,10 +541,6 @@ def _int_digits(digits: tuple) -> tuple:
     return tuple(map(int, digits))
 
 
-def is_canonical(exponents) -> bool:
-    return len(exponents) > 0 and exponents[-1] == 0
-
-
 @dataclass(frozen=True)
 class ContinuantPair:
     """Continuants of a digit string: (P, Q)^T = M_{a_1} ... M_{a_K} (0, 1)^T.
@@ -560,6 +557,11 @@ class ContinuantPair:
 
 
 def continuants(exponents) -> ContinuantPair:
+    """The product of the step matrices [[0,1],[2^a,2^a]], each the map
+    x -> 2^-a / (1 + x), the inverse branch of the shift-and-subtract map.
+
+    A digit that is not an int >= 0 raises DomainError.
+    """
     digits = _digit_tuple(exponents)
     m00, m01, m10, m11 = 1, 0, 0, 1
     for a in digits:
@@ -656,8 +658,7 @@ def cost_vector(exponents) -> CostVector:
 
     hprime = lft_derivative_at(m, 0)
     habs = abs(hprime)
-    # |h'(0)|_2 as an exponent of 2
-    hp2_exp = dyadic_valuation(hprime.denominator) - dyadic_valuation(hprime.numerator)
+    hp2_exp = dyadic_norm(hprime)     # |h'(0)|_2 = 2^hp2_exp
     weight = g2(lft_apply(m, 0))
 
     d = Fraction(1 << S)

@@ -226,8 +226,9 @@ def _cmd_taylor(as_json=False, **kw) -> str:
 
 def _mean_text(rep) -> str:
     mode = rep.spec.mode + ("" if rep.spec.coprime_only else ", all pairs")
+    seed = "" if rep.seed is None else f"seed = {rep.seed}, "
     head = (f"mean costs over Omega_N: N = {rep.spec.N}, {mode}, "
-            f"{rep.samples} pairs, seed = {rep.spec.seed}, {rep.convention}")
+            f"{rep.samples} pairs, {seed}{rep.convention}")
     rows = [["cost", "mean", "stderr", "ratio_to_K", "theory", "deviation"]]
     dev = rep.deviations()
     for key in COST_KEYS:
@@ -274,9 +275,11 @@ def _cmd_experiment(N, slope=False, out=None, as_json=False, **kw) -> str:
             rows = rep.rungs[0].to_csv_rows() + rep.rungs[1].to_csv_rows()[1:]
             _write_csv(out, rows)
         return _json_out(rep.to_json_dict()) if as_json else _slope_text(rep)
-    if "sample_count" in kw and "mode" in kw:
-        raise DomainError("the exhaustive run takes every pair; "
-                          "drop --samples")
+    if "mode" in kw:
+        for key, flag in (("sample_count", "--samples"), ("seed", "--seed")):
+            if key in kw:
+                raise DomainError("the exhaustive run takes every pair; "
+                                  f"drop {flag}")
     threads = {"threads": kw.pop("threads")} if "threads" in kw else {}
     rep = mean_costs(OmegaSpec(N, **kw), **threads)
     if out:

@@ -1,5 +1,5 @@
 """Exact arithmetic substrate: 2-adic valuations and norms, the dyadic gcd
-map, and 2x2 integer matrices acting as linear fractional transformations.
+weight, and 2x2 integer matrices acting as linear fractional transformations.
 
 Rationals are carried by ``fractions.Fraction``, which already guarantees the
 invariants we rely on everywhere (lowest terms, positive denominator, exact
@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import PoleError, require_int
+from .errors import PoleError
 
 #: Valuation assigned to 0; compares greater than every finite valuation.
 INF_VALUATION = math.inf
@@ -28,45 +28,17 @@ def dyadic_valuation(n: int):
     return ((n & -n).bit_length() - 1)
 
 
-@dataclass(frozen=True)
-class DyadicNorm:
-    """The 2-adic absolute value ``2**exponent``, with ``None`` encoding |0| = 0."""
-
-    exponent: int | None
-
-    @property
-    def is_zero(self) -> bool:
-        return self.exponent is None
-
-    def value(self) -> Fraction:
-        if self.exponent is None:
-            return Fraction(0)
-        if self.exponent >= 0:
-            return Fraction(1 << self.exponent)
-        return Fraction(1, 1 << -self.exponent)
-
-    def __mul__(self, other: "DyadicNorm") -> "DyadicNorm":
-        if self.exponent is None or other.exponent is None:
-            return DyadicNorm(None)
-        return DyadicNorm(self.exponent + other.exponent)
-
-    def le_one(self) -> bool:
-        return self.exponent is None or self.exponent <= 0
-
-    def __float__(self) -> float:
-        return 0.0 if self.exponent is None else 2.0 ** self.exponent
-
-
-def dyadic_norm(r) -> DyadicNorm:
-    """2-adic norm |a/b| = 2**(v(b) - v(a)) of a rational or integer.
+def dyadic_norm(r) -> int | None:
+    """Exponent e of the 2-adic norm |a/b|_2 = 2**e, e = v(b) - v(a), of a
+    rational or integer; ``None`` for 0, whose norm is 0.
 
     Well defined on unreduced representations since common factors cancel in
     the exponent difference.
     """
     r = Fraction(r)
     if r == 0:
-        return DyadicNorm(None)
-    return DyadicNorm(dyadic_valuation(r.denominator) - dyadic_valuation(r.numerator))
+        return None
+    return dyadic_valuation(r.denominator) - dyadic_valuation(r.numerator)
 
 
 def g2(y) -> Fraction:
@@ -74,7 +46,7 @@ def g2(y) -> Fraction:
 
     ``g2(0) == 1`` by the same convention (|0| = 0, so the minimum is 1).
     """
-    e = dyadic_norm(y).exponent
+    e = dyadic_norm(y)
     if e is None or e <= 0:
         return Fraction(1)
     return Fraction(1, 1 << (2 * e))
@@ -89,33 +61,8 @@ class IntMatrix2:
     m10: int
     m11: int
 
-    @staticmethod
-    def identity() -> "IntMatrix2":
-        return IntMatrix2(1, 0, 0, 1)
-
-    @staticmethod
-    def step_matrix(a: int) -> "IntMatrix2":
-        """Matrix of the pseudo-division step with shift ``a``: [[0,1],[2^a,2^a]].
-
-        As a transformation this is x -> 2^-a / (1 + x), the inverse branch of
-        the shift-and-subtract map.
-        """
-        p = 1 << require_int("a", a, 0)
-        return IntMatrix2(0, 1, p, p)
-
-    def __matmul__(self, other: "IntMatrix2") -> "IntMatrix2":
-        return IntMatrix2(
-            self.m00 * other.m00 + self.m01 * other.m10,
-            self.m00 * other.m01 + self.m01 * other.m11,
-            self.m10 * other.m00 + self.m11 * other.m10,
-            self.m10 * other.m01 + self.m11 * other.m11,
-        )
-
     def det(self) -> int:
         return self.m00 * self.m11 - self.m01 * self.m10
-
-    def apply_vector(self, x: int, y: int) -> tuple[int, int]:
-        return (self.m00 * x + self.m01 * y, self.m10 * x + self.m11 * y)
 
 
 def lft_apply(m: IntMatrix2, x) -> Fraction:

@@ -37,9 +37,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algorithm import _leading_word_run, _v2
+from .algorithm import _leading_word_run, _v2, cl_step
 from .constants import LN2, LOG43
-from .dyadic import dyadic_valuation
+from .dyadic import dyadic_norm
 from .errors import ConsistencyError, DomainError, require_int
 from .parallel import (chunk_counts, map_chunks, merge, moments, part,
                        sample_pairs)
@@ -61,16 +61,14 @@ def branch_of(x) -> int:
     x = Fraction(x)
     if not 0 < x <= 1:
         raise DomainError(f"branch index needs 0 < x <= 1, got {x}")
-    return (x.denominator // x.numerator).bit_length() - 1
+    return cl_step(x.numerator, x.denominator)[0]
 
 
 def t_apply(x):
     """One step of the map: returns (a, T_a(x)) with T_a(x) = 1/(2^a x) - 1."""
     x = Fraction(x)
-    a = branch_of(x)
-    num, den = x.numerator, x.denominator
-    shifted = num << a
-    return a, Fraction(den - shifted, shifted)
+    a, r, (_, shifted) = cl_step(x.numerator, x.denominator)
+    return a, Fraction(r, shifted)
 
 
 @dataclass(frozen=True)
@@ -101,9 +99,7 @@ def orbit(x0, max_steps: int = 10_000) -> OrbitSample:
     steps = []
     for _ in range(require_int("max_steps", max_steps, 0)):
         a, x_next = t_apply(x)
-        dlog = 2.0 * (dyadic_valuation(x.denominator)
-                      - dyadic_valuation(x.numerator)) * LN2
-        steps.append(OrbitStep(x, a, dlog))
+        steps.append(OrbitStep(x, a, 2.0 * dyadic_norm(x) * LN2))
         x = x_next
         if x == 0:
             return OrbitSample(tuple(steps), True)

@@ -349,6 +349,11 @@ class ExperimentReport:
     ratios_to_k: dict
     theory: dict
 
+    @property
+    def seed(self) -> int | None:
+        """The seed the pairs were drawn with; None for an exhaustive run."""
+        return None if self.spec.mode == "exhaustive" else self.spec.seed
+
     def deviations(self) -> dict:
         return {key: self.means[key] - self.theory[key] for key in COST_KEYS}
 
@@ -370,7 +375,7 @@ class ExperimentReport:
             "N": self.spec.N,
             "mode": self.spec.mode,
             "coprime_only": self.spec.coprime_only,
-            "seed": self.spec.seed,
+            "seed": self.seed,
             "convention": self.convention,
             "samples": self.samples,
             "means": dict(self.means),

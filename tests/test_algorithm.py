@@ -31,7 +31,6 @@ from clgcd.algorithm import (
     cl_step,
     continuants,
     cost_vector,
-    is_canonical,
 )
 from clgcd.errors import ConsistencyError, DomainError
 
@@ -320,12 +319,6 @@ def test_expansion_reconstructs_input(pq):
     for convention in (GREEDY, CANONICAL):
         tr = cl_run(p, q, convention)
         assert cf_eval(tr.exponents) == Fraction(p, q)
-
-
-def test_is_canonical():
-    assert is_canonical((1, 2, 0))
-    assert not is_canonical((1, 2))
-    assert not is_canonical(())
 
 
 def test_continuants_examples():

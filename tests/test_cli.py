@@ -247,6 +247,28 @@ def test_experiment_exhaustive_rejects_samples(capsys):
     assert "--samples" in err
 
 
+def test_experiment_exhaustive_rejects_seed(capsys):
+    # the exhaustive run draws nothing, so a typed seed went unused
+    code, out, err = invoke(capsys, "experiment", "--nmax", "60",
+                            "--exhaustive", "--seed", "3")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "--seed" in err
+
+
+def test_exhaustive_report_names_no_seed(capsys):
+    args = ("experiment", "--nmax", "60", "--exhaustive")
+    _, text, _ = invoke(capsys, *args)
+    assert text.splitlines()[0] == (
+        "mean costs over Omega_N: N = 60, exhaustive, 1101 pairs, canonical")
+    _, out, _ = invoke(capsys, *args, "--json")
+    assert json.loads(out)["seed"] is None
+    _, out, _ = invoke(capsys, "experiment", "--nmax", "60", "--samples",
+                       "50", "--seed", "3", "--json")
+    assert json.loads(out)["seed"] == 3
+
+
 def test_eigen_text_rejects_eigenfunction(capsys):
     # the text report has no eigenfunction; the flag was dropped unread
     code, out, err = invoke(capsys, "eigen", "--t", "1", "--v", "0",
@@ -642,7 +664,9 @@ DEMOS = {
     "constants_and_spectrum": ("-d lambda/dt = 1.623523678",
                                "d lambda/dv = 0.976936081"),
     "cost_identities": ("(79089, 339566): digits (2, 3, 0, 1, 2, 1, 0, 0, 4, "
-                        "1, 0, 4, 1, 3, 2, 0, 1, 2, 0)",),
+                        "1, 0, 4, 1, 3, 2, 0, 1, 2, 0)",
+                        "h(0) = 79089/339566, h'(0) = -1/14759048749568, "
+                        "det weight d = 2^27"),
     "invariant_density": ("integral of psi over [0, 1] = 1.000000000000001",),
     "mean_value_experiment": ("N = 2000: 1216587 coprime pairs (all), "
                               "log N = 7.601",),

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from clgcd.algorithm import continuants
 from clgcd.dyadic import (
     INF_VALUATION,
-    DyadicNorm,
     IntMatrix2,
     dyadic_norm,
     dyadic_valuation,
@@ -44,29 +44,33 @@ def test_valuation_additive(a, b):
 
 
 def test_norm_values():
-    assert dyadic_norm(Fraction(3, 4)).value() == 4
-    assert dyadic_norm(8).value() == Fraction(1, 8)
-    assert dyadic_norm(5).value() == 1
-    assert dyadic_norm(0).is_zero
-    assert dyadic_norm(0).value() == 0
-    assert float(dyadic_norm(Fraction(1, 2))) == 2.0
-    assert float(dyadic_norm(0)) == 0.0
+    # dyadic_norm(r) is the exponent e of |r|_2 = 2^e, None for |0| = 0
+    assert dyadic_norm(Fraction(3, 4)) == 2
+    assert dyadic_norm(8) == -3
+    assert dyadic_norm(5) == 0
+    assert dyadic_norm(Fraction(1, 2)) == 1
+    assert dyadic_norm(0) is None
 
 
 def test_norm_le_one():
-    assert dyadic_norm(6).le_one()
-    assert dyadic_norm(0).le_one()
-    assert not dyadic_norm(Fraction(1, 2)).le_one()
+    # |r|_2 <= 1 reads as an exponent <= 0, or None for r = 0
+    assert dyadic_norm(6) <= 0
+    assert dyadic_norm(0) is None
+    assert not dyadic_norm(Fraction(1, 2)) <= 0
 
 
 @given(st.fractions(), st.fractions())
 def test_norm_multiplicative(x, y):
-    prod = dyadic_norm(x) * dyadic_norm(y)
-    assert prod.value() == dyadic_norm(x * y).value()
+    # |xy|_2 = |x|_2 |y|_2 is additivity of the exponents
+    ex, ey = dyadic_norm(x), dyadic_norm(y)
+    want = None if ex is None or ey is None else ex + ey
+    assert dyadic_norm(x * y) == want
 
 
-def test_norm_zero_absorbs():
-    assert (dyadic_norm(0) * DyadicNorm(3)).is_zero
+@given(st.fractions())
+def test_norm_zero_absorbs(x):
+    assert dyadic_norm(0 * x) is None
+    assert dyadic_norm(x * 0) is None
 
 
 def test_g2_weight():
@@ -81,45 +85,51 @@ def test_g2_weight():
 
 @given(st.fractions())
 def test_g2_matches_definition(y):
-    norm = dyadic_norm(y).value()
+    e = dyadic_norm(y)
+    norm = Fraction(0) if e is None else Fraction(2) ** e
     expected = Fraction(1) if norm <= 1 else 1 / (norm * norm)
     assert g2(y) == expected
 
 
+def _matrix(digits):
+    return continuants(digits).matrix
+
+
+def _step(a):
+    return _matrix((a,))
+
+
 def test_step_matrix():
-    assert IntMatrix2.step_matrix(0) == IntMatrix2(0, 1, 1, 1)
-    assert IntMatrix2.step_matrix(2) == IntMatrix2(0, 1, 4, 4)
+    # the one-digit product is the step matrix [[0,1],[2^a,2^a]]
+    assert _step(0) == IntMatrix2(0, 1, 1, 1)
+    assert _step(2) == IntMatrix2(0, 1, 4, 4)
     for a in (-1, 2.0):
-        with pytest.raises(DomainError, match=r"^(need )?a\b"):
-            IntMatrix2.step_matrix(a)
+        with pytest.raises(DomainError, match="exponents must be integers"):
+            _step(a)
 
 
 @given(st.integers(min_value=0, max_value=30))
 def test_step_matrix_det(a):
-    assert IntMatrix2.step_matrix(a).det() == -(1 << a)
+    assert _step(a) == IntMatrix2(0, 1, 1 << a, 1 << a)
+    assert _step(a).det() == -(1 << a)
 
 
-def test_identity_matrix():
-    ident = IntMatrix2.identity()
-    m = IntMatrix2(3, 1, 4, 1)
-    assert ident @ m == m
-    assert m @ ident == m
-    assert ident.apply_vector(7, 9) == (7, 9)
-
-
-def test_matmul_and_apply_vector_agree():
-    m1 = IntMatrix2.step_matrix(1)
-    m2 = IntMatrix2.step_matrix(2)
-    prod = m1 @ m2
-    assert prod.apply_vector(0, 1) == m1.apply_vector(*m2.apply_vector(0, 1))
-    assert prod.det() == m1.det() * m2.det()
+@given(digit_strings, digit_strings)
+def test_continuants_of_a_concatenation_is_the_product(left, right):
+    ml, mr = _matrix(left), _matrix(right)
+    m = _matrix(left + right)
+    assert m == IntMatrix2(ml.m00 * mr.m00 + ml.m01 * mr.m10,
+                           ml.m00 * mr.m01 + ml.m01 * mr.m11,
+                           ml.m10 * mr.m00 + ml.m11 * mr.m10,
+                           ml.m10 * mr.m01 + ml.m11 * mr.m11)
+    assert m.det() == ml.det() * mr.det()
 
 
 def test_lft_of_step_matrix():
     # step matrix acts as x -> 2^-a / (1 + x)
-    assert lft_apply(IntMatrix2.step_matrix(1), 0) == Fraction(1, 2)
-    assert lft_apply(IntMatrix2.step_matrix(0), 1) == Fraction(1, 2)
-    assert lft_apply(IntMatrix2.step_matrix(3), Fraction(1, 3)) == Fraction(3, 32)
+    assert lft_apply(_step(1), 0) == Fraction(1, 2)
+    assert lft_apply(_step(0), 1) == Fraction(1, 2)
+    assert lft_apply(_step(3), Fraction(1, 3)) == Fraction(3, 32)
 
 
 def test_lft_pole():
@@ -132,22 +142,16 @@ def test_lft_pole():
 
 def test_lft_derivative_value():
     # det(M_1) = -2, denominator at 0 is 2, so h'(0) = -1/2
-    assert lft_derivative_at(IntMatrix2.step_matrix(1), 0) == Fraction(-1, 2)
+    assert lft_derivative_at(_step(1), 0) == Fraction(-1, 2)
 
 
 @given(digit_strings, digit_strings,
        st.fractions(min_value=0, max_value=1))
 def test_lft_composition_chain_rule(left, right, x):
-    ml = _product(left)
-    mr = _product(right)
+    ml = _matrix(left)
+    mr = _matrix(right)
+    m = _matrix(left + right)
     inner = lft_apply(mr, x)
-    assert lft_apply(ml @ mr, x) == lft_apply(ml, inner)
-    assert (lft_derivative_at(ml @ mr, x)
+    assert lft_apply(m, x) == lft_apply(ml, inner)
+    assert (lft_derivative_at(m, x)
             == lft_derivative_at(ml, inner) * lft_derivative_at(mr, x))
-
-
-def _product(digits):
-    m = IntMatrix2.identity()
-    for a in digits:
-        m = m @ IntMatrix2.step_matrix(a)
-    return m

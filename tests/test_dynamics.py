@@ -66,6 +66,9 @@ def test_t_apply_examples():
     assert t_apply(Fraction(31, 75)) == (1, Fraction(13, 62))
     assert t_apply(Fraction(1, 2)) == (1, Fraction(0))
     assert t_apply(1) == (0, Fraction(0))
+    for bad in (0, 2, Fraction(-1, 3)):
+        with pytest.raises(DomainError):
+            t_apply(bad)
 
 
 @given(coprime_rationals())
