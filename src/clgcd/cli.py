@@ -168,8 +168,8 @@ def _cmd_eval(exponents, as_json=False) -> str:
 
 # ------------------------------------------------------------ constants
 
-def _cmd_constants(as_json=False, **kw) -> str:
-    table = m_table(**kw)
+def _cmd_constants(as_json=False) -> str:
+    table = m_table()
     if as_json:
         return _json_out(table.to_json_dict())
     lines = [
@@ -380,8 +380,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = add("eval", _cmd_eval, "rational value of a digit sequence")
     sp.add_argument("--exponents", required=True, metavar="A1,A2,...")
 
-    sp = add("constants", _cmd_constants, "closed-form analysis constants")
-    sp.add_argument("--terms", type=int, help="series terms for E")
+    add("constants", _cmd_constants, "closed-form analysis constants")
 
     sp = add("eigen", _cmd_eigen, "dominant eigenvalue of the transfer operator")
     sp.add_argument("--t", type=float, required=True)

@@ -56,7 +56,7 @@ from .algorithm import (
     _lockstep_passes,
     _v2,
 )
-from .constants import LN2, ConstantsTable, m_table
+from .constants import LN2, m_table
 from .dynamics import BirkhoffReport, birkhoff_estimates
 from .errors import ConsistencyError, DomainError, require_int
 from .parallel import (chunk_counts, derive_seed, map_chunks, merge, moments,
@@ -327,9 +327,9 @@ def _chunk_part(p, q, k, s, terminal, x, y, e, coprime: bool):
     return part(len(p), (k, s, g_exp, q_exp), _log_columns(r, g_exp))
 
 
-def theory_means(n: int, table: Optional[ConstantsTable] = None) -> dict:
+def theory_means(n: int) -> dict:
     """Leading-order predictions M(c) * (2/H) * log N for every cost."""
-    table = table or m_table()
+    table = m_table()
     steps = table.two_over_H * math.log(n)
     out = {"K": steps, "S": steps * table.D / LN2}
     for key, growth in table.mean_costs.items():
@@ -663,6 +663,10 @@ def conjecture_check(bits: int = 256, trajectory_samples: int = 10_000,
     a factor-16 ladder.  A precomputed ``birkhoff`` or ``slope`` report
     reuses an expensive run; its size arguments then go unused.
     """
+    if slope is None:
+        # refused before the Birkhoff run, under the names given here
+        require_int("N_max", N_max, 1 << 16)
+        require_int("pair_samples", pair_samples, 2)
     table = m_table()
     target = table.mean_costs["rho"]
     if birkhoff is None:

@@ -407,7 +407,7 @@ def test_conjecture_smoke(capsys):
 
 
 @pytest.mark.parametrize("argv, report", [
-    (("constants", "--terms", "7"), lambda: m_table(7)),
+    (("constants",), m_table),
     (("dirichlet", "--s", "2.5", "--nmax", "500"),
      lambda: dirichlet_check(2.5, 500)),
     (("worstcase", "--nmax", "9"), lambda: worstcase_scan(9)),
@@ -486,7 +486,7 @@ _EVERY_OPTION = [
      [("cl_run", {"p": 31, "q": 75, "convention": "greedy"})]),
     (("eval", "--exponents", "1,2", "--json"),
      [("cf_eval", {"exponents": (1, 2)})]),
-    (("constants", "--terms", "7", "--json"), [("m_table", {"terms": 7})]),
+    (("constants", "--json"), [("m_table", {})]),
     (("eigen", "--t", "1.1", "--v", "0.1", "--grid", "32", "--tail-tol",
       "1e-10", "--eigenfunction", "--json"),
      [("solve_operator", {"t": 1.1, "v": 0.1, "n": 32, "tail_tol": 1e-10})]),
@@ -573,9 +573,7 @@ def test_domain_error_exits_1(capsys):
     ("eigen", "--t", "1", "--v", "0", "--tail-tol", "inf"),
     ("dirichlet", "--s", "nan"),
     ("dirichlet", "--s", "inf"),
-    ("constants", "--terms", "2000"),
     ("eigen", "--t", "1", "--v", "0", "--tail-tol", "1e-320"),
-    ("constants", "--terms", "0"),
     ("expand", "--rational", "31/75", "--depth", "0"),
     ("eigen", "--t", "1", "--v", "0", "--grid", "1"),
     ("taylor", "--grid", "1"),
@@ -587,14 +585,15 @@ def test_domain_error_exits_1(capsys):
     ("worstcase", "--nmax", "3"),
     ("conjecture", "--bits", "8"),
     ("conjecture", "--samples", "1"),
+    ("conjecture", "--nmax", "1000", "--samples", "200000"),
+    ("conjecture", "--pair-samples", "1"),
     ("experiment", "--slope", "--nmax", "65536", "--samples", "2",
      "--seed", "26"),
 ])
 def test_out_of_range_floats_and_terms_exit_1(capsys, argv):
-    # non-finite tolerances and exponents, more series terms than the
-    # float range allows, sizes and counts out of their ranges, and a
-    # ladder whose slope(K) is 0 are domain errors, not tracebacks or nan
-    # output
+    # non-finite tolerances and exponents, sizes and counts out of their
+    # ranges, and a ladder whose slope(K) is 0 are domain errors, not
+    # tracebacks or nan output
     code, out, err = invoke(capsys, *argv)
     assert code == 1
     assert out == ""
@@ -627,6 +626,14 @@ def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as exc_info:
         run(["expand"])                      # missing required --rational
     assert exc_info.value.code == 2
+
+
+def test_constants_takes_no_terms(capsys):
+    # the series length is fixed: --terms is an unknown option
+    with pytest.raises(SystemExit) as exc_info:
+        run(["constants", "--terms", "7"])
+    assert exc_info.value.code == 2
+    assert "unrecognized arguments: --terms 7" in capsys.readouterr().err
 
 
 def test_assertion_failure_exits_3(capsys, monkeypatch):

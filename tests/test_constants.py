@@ -1,26 +1,12 @@
 import json
 import math
 
-import numpy as np
 import pytest
 from scipy.special import spence
 
 from clgcd import constants
-from clgcd.constants import (
-    LN2,
-    LOG32,
-    LOG43,
-    SERIES_TERMS_MAX,
-    _alt_series,
-    const_A,
-    const_B_conjectured,
-    const_D,
-    const_E,
-    const_H_conjectured,
-    m_table,
-    series_tail_bound,
-)
-from clgcd.errors import ConsistencyError, DomainError
+from clgcd.constants import LN2, LN3, LOG32, LOG43, m_table
+from clgcd.errors import ConsistencyError
 
 # six-figure reference values; the closed forms must sit within 1e-4
 REFERENCE = {
@@ -61,8 +47,10 @@ def test_mean_cost_table():
 
 
 def test_series_against_dilogarithm():
-    # the alternating sum is Li2(-1/2), which scipy reaches as spence(3/2)
-    assert _alt_series(64) == pytest.approx(float(spence(1.5)), abs=1e-15)
+    # the alternating sum is Li2(-1/2), which scipy reaches as spence(3/2);
+    # E = (pi^2/6 + 2 Li2(-1/2)) / log(4/3) gives the sum back
+    series = (m_table().E * LOG43 - math.pi ** 2 / 6.0) / 2.0
+    assert series == pytest.approx(float(spence(1.5)), abs=1e-15)
 
 
 def test_shift_constant_against_branch_measure():
@@ -75,66 +63,44 @@ def test_shift_constant_against_branch_measure():
         a * (F(0.5 ** a) - F(0.5 ** (a + 1))) / LOG43 for a in range(1, 400)
     )
     assert mean_branch == pytest.approx(LOG32 / LOG43, abs=1e-12)
-    assert const_D() == pytest.approx(LN2 * mean_branch, abs=1e-12)
+    assert m_table().D == pytest.approx(LN2 * mean_branch, abs=1e-12)
 
 
 def test_series_truncation():
-    assert abs(const_E(40) - const_E(64)) <= series_tail_bound(40)
-    assert series_tail_bound(64) < 1e-20
-    assert series_tail_bound(10) > series_tail_bound(20)
-    with pytest.raises(DomainError):
-        _alt_series(0)
-    with pytest.raises(DomainError):
-        const_E(terms=0)
-
-
-def test_series_terms_capped_below_float_overflow():
-    # the cap keeps k^2 2^k a float; every term count up to it still sums
-    assert abs(const_E(SERIES_TERMS_MAX) - const_E(64)) <= series_tail_bound(64)
-    for terms in (SERIES_TERMS_MAX + 1, 2000, 10 ** 6, 64.0):
-        with pytest.raises(DomainError, match="terms"):
-            _alt_series(terms)
-        with pytest.raises(DomainError, match="terms"):
-            const_E(terms)
-        with pytest.raises(DomainError, match="terms"):
-            m_table(terms)
-    assert m_table(np.int64(64)) == m_table(64)
+    # the first omitted term 1/(65^2 2^65) bounds the tail of the 64-term
+    # alternating sum; through E's factor 2/log(4/3) it stays below 1e-20
+    assert 2.0 / (65 * 65 * 2.0 ** 65) / LOG43 < 1e-20
+    # so the sum is converged in floats: 1000 terms, summed in the same
+    # order, give the same E bit for bit
+    series = 0.0
+    for k in range(1, 1001):
+        series += (-1) ** k / (k * k * 2.0 ** k)
+    assert (math.pi ** 2 / 6.0 + 2.0 * series) / LOG43 == m_table().E
 
 
 def test_h_internal_cross_check():
-    # evaluates both the direct bracket form and A - B; raises on mismatch
-    assert const_H_conjectured() == pytest.approx(
-        const_A() - const_B_conjectured(), abs=1e-12)
-
-
-def test_m_table_sums_the_series_once(monkeypatch):
-    calls = []
-
-    def counted(terms):
-        calls.append(terms)
-        return _alt_series(terms)
-
-    monkeypatch.setattr(constants, "_alt_series", counted)
-    for terms in (1, 32, 64, np.int64(40)):
-        calls.clear()
-        table = m_table(terms)
-        assert calls == [terms]
-        # one shared sum gives what the closed forms give one by one
-        assert (table.E, table.A, table.H_conj) == (
-            const_E(terms), const_A(terms), const_H_conjectured(terms))
+    # the table's H passed the A - B cross-check, and it is the closed
+    # form evaluated on scipy's dilogarithm
+    table = m_table()
+    assert table.H_conj == pytest.approx(table.A - table.B_conj, abs=1e-12)
+    li2 = float(spence(1.5))
+    closed = ((math.pi ** 2 / 6.0 + 2.0 * li2 - LN2 * (3.0 * LN3 - 4.0 * LN2))
+              / (2.0 * LN2 - LN3))
+    assert table.H_conj == pytest.approx(closed, abs=1e-14)
 
 
 def test_m_table_keeps_the_h_cross_check(monkeypatch):
-    # an A - B that drifts from the closed form by more than 1e-12 raises
-    monkeypatch.setattr(constants, "const_B_conjectured",
-                        lambda: const_B_conjectured() + 1e-11)
+    # LN3 enters only H's own closed form at call time (log(4/3) and
+    # log(3/2) were fixed at import), so A - B no longer matches it
+    monkeypatch.setattr(constants, "LN3", LN3 + 1e-11)
     with pytest.raises(ConsistencyError, match="A - B"):
         m_table()
 
 
 def test_table_json_round_trip():
-    table = m_table(terms=32)
+    table = m_table()
     d = json.loads(json.dumps(table.to_json_dict()))
-    assert d["terms"] == 32
-    assert d["E"] == pytest.approx(const_E(32), abs=0)
+    assert list(d) == ["E", "D", "A", "B_conj", "H_conj", "two_over_H",
+                       "mean_costs"]
+    assert d["E"] == table.E
     assert set(d["mean_costs"]) == {"sigma", "q", "rho", "r", "q2"}

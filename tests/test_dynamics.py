@@ -76,7 +76,6 @@ def test_map_is_conjugate_to_greedy_run(x):
     # branch sequences of the interval map reproduce the greedy digits
     tr = cl_run(x.numerator, x.denominator, "greedy")
     orb = orbit(x)
-    assert orb.terminated
     assert orb.branches() == tr.exponents
     assert orb.length == tr.steps
 
@@ -93,21 +92,11 @@ def test_orbit_dyadic_log_accumulates_content(x):
     assert total == pytest.approx(expect, abs=1e-9)
 
 
-def test_orbit_respects_step_cap():
-    orb = orbit(Fraction(1, (1 << 64) - 1), max_steps=4)
-    assert not orb.terminated
-    assert orb.length == 4
-
-
 def test_orbit_domain():
     with pytest.raises(DomainError):
         orbit(Fraction(3, 2))
     with pytest.raises(DomainError):
         orbit(0)
-    for max_steps in (-1, 4.0):
-        with pytest.raises(DomainError, match="max_steps"):
-            orbit(Fraction(1, 3), max_steps)
-    assert orbit(Fraction(31, 75), np.int64(4)) == orbit(Fraction(31, 75), 4)
 
 
 def test_density_normalized():
@@ -115,12 +104,6 @@ def test_density_normalized():
     # fixed-point checks see, as the annotated Python float
     mass = quad_gl(psi, 0.0, 1.0)
     assert type(mass) is float and mass == 1.0000000000000007
-    assert quad_gl(psi, 0.0, 1.0, np.int64(64), np.int64(8)) == mass
-    # panels = 0 or -1 summed no panel and returned 0.0
-    for kwargs in ({"panels": 0}, {"panels": -1}, {"panels": 64.0},
-                   {"order": 0}, {"order": 8.0}):
-        with pytest.raises(DomainError, match=next(iter(kwargs))):
-            quad_gl(psi, 0.0, 1.0, **kwargs)
     assert psi(0.0) == pytest.approx(1 / (2 * LOG43), rel=1e-15)
     assert psi(1.0) == pytest.approx(1 / (6 * LOG43), rel=1e-15)
     assert psi(np.array([0.0, 1.0])).shape == (2,)
@@ -189,27 +172,26 @@ def test_quadrature():
 
 
 def test_quadrature_rule_is_shared_read_only_and_bounded():
-    for order in range(1, 13):
-        nodes, weights = leggauss(order)
-        edges = np.linspace(0.0, 1.0, 65)
-        total = 0.0
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            half = (hi - lo) / 2.0
-            mid = (lo + hi) / 2.0
-            total += half * float(weights @ psi(mid + half * nodes))
-        assert quad_gl(psi, 0.0, 1.0, order=order) == total
-        for array in _gauss_legendre(order):
-            with pytest.raises(ValueError):
-                array[0] = 0.5
-    info = _gauss_legendre.cache_info()
-    assert info.currsize == info.maxsize
+    # the 8-point rule on 64 panels, against a hand-rolled sum
+    nodes, weights = leggauss(8)
+    edges = np.linspace(0.0, 1.0, 65)
+    total = 0.0
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        half = (hi - lo) / 2.0
+        mid = (lo + hi) / 2.0
+        total += half * float(weights @ psi(mid + half * nodes))
+    assert quad_gl(psi, 0.0, 1.0) == total
+    assert _gauss_legendre() is _gauss_legendre()
+    for array in _gauss_legendre():
+        with pytest.raises(ValueError):
+            array[0] = 0.5
+    assert _gauss_legendre.cache_info().currsize == 1
 
 
 def test_quadrature_rule_matches_an_independent_one():
-    # numpy's rule against scipy's, node for node and weight for weight
-    for order in range(1, 13):
-        for ours, theirs in zip(leggauss(order), roots_legendre(order)):
-            np.testing.assert_allclose(ours, theirs, rtol=0.0, atol=1e-14)
+    # the rule against scipy's, node for node and weight for weight
+    for ours, theirs in zip(_gauss_legendre(), roots_legendre(8)):
+        np.testing.assert_allclose(ours, theirs, rtol=0.0, atol=1e-14)
 
 
 def test_package_runs_on_numpy_alone():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from clgcd import experiments
-from clgcd.algorithm import _exponent_run, cost_vector
+from clgcd.algorithm import _exponent_run, continuants, cost_vector
 from clgcd.constants import m_table
 from clgcd.dynamics import birkhoff_estimates
 from clgcd.errors import DomainError, ConsistencyError
@@ -204,6 +204,30 @@ def _straight_part(pairs):
 def _assert_part_types(part):
     # columns 0-3 (K, S, v(g), v(Q)) reach merge as Python ints
     assert all(type(v) is int for v in part[1][:4] + part[2][:4])
+
+
+@pytest.mark.parametrize("spec", [
+    OmegaSpec(N=10 ** 6, sample_count=8192, seed=7),
+    OmegaSpec(N=(1 << 62) - 1, sample_count=4096, seed=7),
+    OmegaSpec(N=1 << 64, sample_count=3000, seed=7),
+], ids=["int64-1e6", "int64-2^62", "scalar-2^64"])
+def test_float_column_stderrs_match_an_exact_two_pass(spec):
+    # the raw-square variance of the float columns ln Q and ln R loses no
+    # digits that matter: against the mean and the centred squares of the
+    # same floats, summed exactly, it agrees to 1e-9 relative (measured
+    # here: q 5.5e-15, 1.0e-13, 3.6e-13 and r 2.1e-12, 6.0e-12, 8.9e-12)
+    rep = mean_costs(spec)
+    columns = {"q": [], "r": []}
+    for p, q in omega_iter(spec):
+        pair = continuants(_exponent_run(p, q, canonical=True)[0])
+        columns["q"].append(Fraction(math.log(pair.Q)))
+        columns["r"].append(Fraction(math.log(pair.R)))
+    n = rep.samples
+    for key, xs in columns.items():
+        mean = sum(xs) / n
+        var = sum((x - mean) ** 2 for x in xs) / (n - 1)
+        want = 2.0 * math.sqrt(var / n)
+        assert rep.stderrs[key] == pytest.approx(want, rel=1e-9, abs=0), key
 
 
 def test_chunk_parts_match_a_straight_loop():
@@ -642,14 +666,13 @@ def test_slope_ladder_at_a_zero_slope():
 
 
 def test_reports_store_the_checked_int():
-    # a NumPy integer or a bool given as a seed, count or term number is
-    # stored as the int it stands for, so the reports serialise as the
-    # plain-int reports do
+    # a NumPy integer or a bool given as a seed or count is stored as the
+    # int it stands for, so the reports serialise as the plain-int reports
+    # do
     cases = [
         (lambda i: birkhoff_estimates(16, 64, i(1)).to_json_dict()),
         (lambda i: mean_costs(OmegaSpec(N=100, sample_count=i(50),
                                         seed=i(1))).to_json_dict()),
-        (lambda i: m_table(i(64)).to_json_dict()),
         (lambda i: slope_estimate(i(1 << 16), i(200),
                                   seed=i(3)).to_json_dict()),
     ]
@@ -683,3 +706,19 @@ def test_conjecture_report_wiring(small_slope):
     d = json.loads(json.dumps(rep.to_json_dict()))
     assert d["birkhoff"]["bits"] == 32
     assert d["slope"]["N_max"] == 65536
+
+
+def test_conjecture_check_refuses_its_ladder_before_the_birkhoff_run(
+        monkeypatch):
+    # an N_max or pair_samples the ladder would refuse is refused first,
+    # under its own name, before the costly trajectory run
+    def run(*args):
+        raise AssertionError("the Birkhoff run started")
+
+    monkeypatch.setattr(experiments, "birkhoff_estimates", run)
+    with pytest.raises(DomainError, match="N_max >= 65536, got 1000"):
+        conjecture_check(N_max=1000, trajectory_samples=200_000)
+    with pytest.raises(DomainError, match="pair_samples >= 2, got 1"):
+        conjecture_check(pair_samples=1)
+    with pytest.raises(DomainError, match="pair_samples must be an integer"):
+        conjecture_check(pair_samples=2.0)
