@@ -21,7 +21,7 @@ for convention in ("greedy", "canonical"):
     print(f"digits   = {','.join(map(str, run.exponents))}")
     print(f"K = {run.steps}, S = {run.shifts}, terminal = {run.terminal}, "
           f"odd gcd = {run.odd_gcd}")
-    if run.rewritten:
+    if run.convention == "canonical":
         print("final step rewritten (a) -> (a-1, 0)")
 
     value = cf_eval(run.exponents)

@@ -48,7 +48,7 @@ from .dyadic import (
     lft_apply,
     lft_derivative_at,
 )
-from .errors import ConsistencyError, DomainError
+from .errors import ConsistencyError, DomainError, require_int
 
 GREEDY = "greedy"
 CANONICAL = "canonical"
@@ -58,12 +58,12 @@ _new = object.__new__
 _setattr = object.__setattr__
 
 
-def _check_pair(p, q, allow_equal=False):
-    if not (isinstance(p, int) and isinstance(q, int)):
-        raise DomainError(f"pair must be integers, got ({p!r}, {q!r})")
+def _check_pair(p, q, allow_equal=False) -> tuple[int, int]:
+    p, q = require_int("p", p), require_int("q", q)
     if p <= 0 or q <= 0 or (p > q if allow_equal else p >= q):
         rel = "p <= q" if allow_equal else "p < q"
         raise DomainError(f"need 0 < {rel}, got ({p}, {q})")
+    return p, q
 
 
 def cl_step(p: int, q: int):
@@ -71,7 +71,7 @@ def cl_step(p: int, q: int):
 
     a is maximal with 2^a p <= q, and r = q - 2^a p satisfies 0 <= r < 2^a p.
     """
-    _check_pair(p, q, allow_equal=True)
+    p, q = _check_pair(p, q, allow_equal=True)
     a = (q // p).bit_length() - 1
     shifted = p << a
     r = q - shifted
@@ -128,11 +128,6 @@ class Trace:
         m = self.terminal[1]
         return m >> dyadic_valuation(m)
 
-    @property
-    def rewritten(self) -> bool:
-        """True when the canonical final rewrite fired: on every canonical run."""
-        return self.convention == CANONICAL
-
     @cached_property
     def records(self) -> tuple[StepRecord, ...]:
         rows = []
@@ -144,12 +139,9 @@ class Trace:
             u, w = r, shifted
         return tuple(rows)
 
-    def input_row(self) -> StepRecord:
-        return _row(0, None, self.q, self.p)
-
     def table_rows(self) -> list[StepRecord]:
         """All rows of the run table, input row first (matches the JSON form)."""
-        return [self.input_row(), *self.records]
+        return [_row(0, None, self.q, self.p), *self.records]
 
     def to_json_dict(self) -> dict:
         def v(x):
@@ -198,8 +190,7 @@ def cl_run(p: int, q: int, convention: str = CANONICAL) -> Trace:
     pickles and prints as ``Trace(p, q, convention, exponents, terminal)``.
     """
     if p.__class__ is not int or q.__class__ is not int or not 0 < p < q:
-        _check_pair(p, q)
-        p, q = int(p), int(q)       # a bool or int subclass is stored as int
+        p, q = _check_pair(p, q)
     if convention not in (GREEDY, CANONICAL):
         raise DomainError(f"unknown convention {convention!r}")
     exps, terminal_m = _exponent_run(p, q, convention == CANONICAL)
@@ -518,12 +509,7 @@ def cf_eval(exponents) -> Fraction:
 
 
 def _digit_tuple(exponents) -> tuple:
-    """The digits as a tuple (not copied if they already are one), nonempty.
-
-    The loops that read the digits check each one on the way
-    (``a.__class__ is int and a >= 0``) and hand anything else to
-    ``_int_digits``.
-    """
+    """The digits as a nonempty tuple, not copied if they already are one."""
     digits = exponents if exponents.__class__ is tuple else tuple(exponents)
     if not digits:
         raise DomainError("empty exponent sequence")
@@ -531,14 +517,9 @@ def _digit_tuple(exponents) -> tuple:
 
 
 def _int_digits(digits: tuple) -> tuple:
-    """The digits as plain ints; DomainError names the first bad one.
-
-    An int subclass such as bool is a valid digit and becomes its int.
-    """
-    for a in digits:
-        if not isinstance(a, int) or a < 0:
-            raise DomainError(f"exponents must be integers >= 0, got {a!r}")
-    return tuple(map(int, digits))
+    """The digits as ints >= 0 by ``require_int``, named exponents[i]."""
+    return tuple(require_int(f"exponents[{i}]", a, 0)
+                 for i, a in enumerate(digits))
 
 
 @dataclass(frozen=True)
@@ -648,6 +629,8 @@ def cost_vector(exponents) -> CostVector:
     Any mismatch raises ConsistencyError.
     """
     exponents = _digit_tuple(exponents)
+    if not all(a.__class__ is int for a in exponents):
+        exponents = _int_digits(exponents)
     cp = continuants(exponents)
     S = sum(exponents)
     m = cp.matrix

@@ -46,8 +46,6 @@ def _table(rows) -> str:
 
 
 def _val(x) -> str:
-    if x is None:
-        return "-"
     if x == math.inf:
         return "inf"
     return str(int(x))
@@ -97,7 +95,7 @@ def _cmd_trace(p, q, as_json=False, **kw) -> str:
         ])
     tail = (f"K = {trace.steps}, S = {trace.shifts}, "
             f"terminal = (0, {trace.terminal[1]}), odd gcd = {trace.odd_gcd}")
-    if trace.rewritten:
+    if trace.convention == CANONICAL:
         tail += "  [final step rewritten (a) -> (a-1, 0)]"
     return "\n".join([
         f"run on ({trace.p}, {trace.q}), {trace.convention} convention",

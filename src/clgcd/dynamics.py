@@ -40,7 +40,7 @@ import numpy as np
 from .algorithm import _leading_word_run, _v2, cl_step
 from .constants import LN2, LOG43
 from .dyadic import dyadic_norm
-from .errors import ConsistencyError, DomainError, require_int
+from .errors import ConsistencyError, DomainError, require_int, require_rational
 from .parallel import (chunk_counts, map_chunks, merge, moments, part,
                        sample_pairs)
 from .spectral import (CollocationGrid, _branch_matrix, _shared_grid,
@@ -58,15 +58,14 @@ def psi(x):
 
 def branch_of(x) -> int:
     """Branch index of x in (0, 1]: the unique a with 2^-(a+1) < x <= 2^-a."""
-    x = Fraction(x)
-    if not 0 < x <= 1:
-        raise DomainError(f"branch index needs 0 < x <= 1, got {x}")
-    return cl_step(x.numerator, x.denominator)[0]
+    return t_apply(x)[0]
 
 
 def t_apply(x):
     """One step of the map: returns (a, T_a(x)) with T_a(x) = 1/(2^a x) - 1."""
-    x = Fraction(x)
+    x = require_rational("x", x)
+    if not 0 < x <= 1:
+        raise DomainError(f"need 0 < x <= 1, got {x}")
     a, r, (_, shifted) = cl_step(x.numerator, x.denominator)
     return a, Fraction(r, shifted)
 
@@ -95,7 +94,7 @@ def orbit(x0) -> OrbitSample:
 
     Every rational p/q gets there, within the proven 2 lg q + 2 steps.
     """
-    x = Fraction(x0)
+    x = require_rational("x0", x0)
     if not 0 < x <= 1:
         raise DomainError(f"orbit needs 0 < x0 <= 1, got {x}")
     steps = []

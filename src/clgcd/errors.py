@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and the integer argument check."""
+"""Exception types shared across the package, and the argument checks."""
 import operator
+from fractions import Fraction
 
 
 class DomainError(ValueError):
@@ -21,6 +22,19 @@ def require_int(name: str, value, lo: int | None = None,
         bound = f"{name} >= {lo}" if hi is None else f"{lo} <= {name} <= {hi}"
         raise DomainError(f"need {bound}, got {value}")
     return value
+
+
+def require_rational(name: str, value) -> Fraction:
+    """``value`` as a Fraction of Python ints, its parts read by
+    ``require_int``; DomainError names the argument ``Fraction`` refuses."""
+    try:
+        value = Fraction(value)
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+        raise DomainError(f"{name} must be a rational, got {value!r}") from None
+    num, den = value.numerator, value.denominator
+    if num.__class__ is int and den.__class__ is int:
+        return value
+    return Fraction(require_int(name, num), require_int(name, den))
 
 
 class PoleError(ZeroDivisionError):

@@ -504,7 +504,7 @@ def _totients(n: int) -> list:
     return phi
 
 
-def _zeta(z: float, cutoff: int = 20_000) -> float:
+def _zeta(z: float) -> float:
     """zeta(z) by direct summation with Euler-Maclaurin tail.
 
     Three correction terms leave a truncation error below 1e-16 relative
@@ -513,9 +513,9 @@ def _zeta(z: float, cutoff: int = 20_000) -> float:
     """
     if 2.0 ** -z == 0.0:
         return 1.0
-    head = math.fsum(k ** -z for k in range(cutoff, 0, -1))
-    # head includes k = cutoff, so the boundary term enters with minus
-    m = float(cutoff)
+    m = 20_000      # the cutoff
+    head = math.fsum(k ** -z for k in range(m, 0, -1))
+    # head includes k = m, so the boundary term enters with minus
     tail = m ** (1.0 - z) / (z - 1.0) - 0.5 * m ** -z + z * m ** (-z - 1.0) / 12.0
     tail -= z * (z + 1.0) * (z + 2.0) * m ** (-z - 3.0) / 720.0
     return head + tail

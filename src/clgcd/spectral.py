@@ -54,6 +54,9 @@ GRID_SIZE = 48
 GRID_MAX = 1024
 #: the solvers' default bound on the truncated tail of the branch sum
 TAIL_TOL = 1e-14
+#: power iteration's convergence tolerance and iteration cap
+EIGEN_TOL = 1e-12
+EIGEN_MAX_ITER = 10_000
 
 
 class CollocationGrid:
@@ -254,12 +257,11 @@ class SpectralResult:
         return d
 
 
-def dominant_eigen(matrix: np.ndarray, grid: CollocationGrid,
-                   tol: float = 1e-12, max_iter: int = 10_000) -> SpectralResult:
+def dominant_eigen(matrix: np.ndarray, grid: CollocationGrid) -> SpectralResult:
     """Dominant eigenpair by power iteration with Rayleigh quotient estimates.
 
     Converged when successive eigenvalue estimates differ by less than
-    ``tol``.  The eigenfunction is normalized to unit integral against the
+    ``EIGEN_TOL``.  The eigenfunction is normalized to unit integral against the
     grid quadrature and is strictly positive for parameters near (1, 0).
     """
     n = matrix.shape[0]
@@ -267,19 +269,19 @@ def dominant_eigen(matrix: np.ndarray, grid: CollocationGrid,
     vec = np.full(n, 1.0 / sqrt(n))
     lam_prev = math.inf
     lam = math.nan
-    for it in range(1, require_int("max_iter", max_iter, 1) + 1):
+    for it in range(1, EIGEN_MAX_ITER + 1):
         w = apply(vec)
         lam = float(vec.dot(w)) / float(vec.dot(vec))
         nrm = sqrt(w.dot(w))       # np.linalg.norm(w), bit for bit
         if nrm == 0.0:
             raise ConvergenceError("operator annihilated the iterate")
         vec = w / nrm
-        if abs(lam - lam_prev) < tol:
+        if abs(lam - lam_prev) < EIGEN_TOL:
             break
         lam_prev = lam
     else:
         raise ConvergenceError(
-            f"power iteration did not converge in {max_iter} iterations",
+            f"power iteration did not converge in {EIGEN_MAX_ITER} iterations",
             result=(lam, vec),
         )
     if vec.sum() < 0:
@@ -338,8 +340,7 @@ class TaylorEstimates:
         }
 
 
-def taylor_estimates(n: int = GRID_SIZE,
-                     tail_tol: float = TAIL_TOL) -> TaylorEstimates:
+def taylor_estimates(n: int = GRID_SIZE) -> TaylorEstimates:
     """-d(lambda)/dt and d(lambda)/dv at (1, 0) on an n-point grid.
 
     One doubling pass over the branches builds M and its companion
@@ -348,7 +349,7 @@ def taylor_estimates(n: int = GRID_SIZE,
     D = ln2 l^T M_a phi / l^T phi and A = D + 2 lambda l^T(ln(1+x) phi) / l^T phi.
     """
     grid = _shared_grid(n)
-    a_max = truncation_depth(1.0, 0.0, tail_tol)
+    a_max = truncation_depth(1.0, 0.0, TAIL_TOL)
     m, m_a = _branch_matrix(1.0, 0.0, grid, a_max, weighted=True)
     right = dominant_eigen(m, grid)
     left = dominant_eigen(m.T, grid)

@@ -54,6 +54,9 @@ def test_branch_index():
     for bad in (0, 2, Fraction(-1, 3)):
         with pytest.raises(DomainError):
             branch_of(bad)
+    for bad in (None, math.inf, "x"):
+        with pytest.raises(DomainError, match="^x must be a rational"):
+            branch_of(bad)
 
 
 @given(coprime_rationals())
@@ -66,7 +69,7 @@ def test_t_apply_examples():
     assert t_apply(Fraction(31, 75)) == (1, Fraction(13, 62))
     assert t_apply(Fraction(1, 2)) == (1, Fraction(0))
     assert t_apply(1) == (0, Fraction(0))
-    for bad in (0, 2, Fraction(-1, 3)):
+    for bad in (0, 2, Fraction(-1, 3), None, math.nan):
         with pytest.raises(DomainError):
             t_apply(bad)
 
@@ -97,6 +100,9 @@ def test_orbit_domain():
         orbit(Fraction(3, 2))
     with pytest.raises(DomainError):
         orbit(0)
+    for bad in (math.inf, None):
+        with pytest.raises(DomainError, match="^x0 must be a rational"):
+            orbit(bad)
 
 
 def test_density_normalized():
