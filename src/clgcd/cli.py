@@ -8,8 +8,8 @@ text names what the report says ran.  Output is a pure function of argv,
 so identical invocations are byte-identical.  Exit codes:
 0 success, 1 domain error or unwritable --out, 2 usage error, 3 failed hard
 assertion, 141 (128 + SIGPIPE, silent) when stdout's reader has gone.  An
---out that is a directory or lies in a missing directory is refused before
-the run; any other failure to write it is reported after.
+--out that is empty, is a directory or lies in a missing directory is
+refused before the run; any other failure to write it is reported after.
 """
 from __future__ import annotations
 
@@ -58,6 +58,8 @@ def _json_out(obj) -> str:
 def _check_out(path: str) -> None:
     """Refuse an --out path that cannot be written before the run, which
     may be long; the file itself is neither created nor truncated here."""
+    if not path:
+        raise DomainError("cannot write '': empty path")
     parent = os.path.dirname(path) or "."
     if os.path.isdir(path):
         raise DomainError(f"cannot write {path}: Is a directory")
@@ -260,7 +262,7 @@ def _slope_text(rep) -> str:
 
 def _cmd_experiment(N, slope=False, out=None, as_json=False, **kw) -> str:
     # --exhaustive and --all-pairs arrive as OmegaSpec's mode and coprime_only
-    if out:
+    if out is not None:
         _check_out(out)
     if slope:
         if "mode" in kw:
@@ -269,7 +271,7 @@ def _cmd_experiment(N, slope=False, out=None, as_json=False, **kw) -> str:
             raise DomainError("the slope ladder draws coprime pairs only; "
                               "drop --all-pairs")
         rep = slope_estimate(N, **kw)
-        if out:
+        if out is not None:
             rows = rep.rungs[0].to_csv_rows() + rep.rungs[1].to_csv_rows()[1:]
             _write_csv(out, rows)
         return _json_out(rep.to_json_dict()) if as_json else _slope_text(rep)
@@ -280,7 +282,7 @@ def _cmd_experiment(N, slope=False, out=None, as_json=False, **kw) -> str:
                                   f"drop {flag}")
     threads = {"threads": kw.pop("threads")} if "threads" in kw else {}
     rep = mean_costs(OmegaSpec(N, **kw), **threads)
-    if out:
+    if out is not None:
         _write_csv(out, rep.to_csv_rows())
     return _json_out(rep.to_json_dict()) if as_json else _mean_text(rep)
 
@@ -300,10 +302,10 @@ def _cmd_dirichlet(as_json=False, **kw) -> str:
 
 
 def _cmd_worstcase(out=None, as_json=False, **kw) -> str:
-    if out:
+    if out is not None:
         _check_out(out)
     rep = worstcase_scan(**kw)
-    if out:
+    if out is not None:
         _write_csv(out, rep.to_csv_rows())
     if as_json:
         return _json_out(rep.to_json_dict())
@@ -384,7 +386,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--t", type=float, required=True)
     sp.add_argument("--v", type=float, required=True)
     sp.add_argument("--grid", type=int, dest="n")
-    sp.add_argument("--tail-tol", type=float)
     sp.add_argument("--eigenfunction", action="store_true",
                     help="include eigenfunction samples in JSON output")
 

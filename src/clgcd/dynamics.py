@@ -105,14 +105,14 @@ def orbit(x0) -> OrbitSample:
     return OrbitSample(tuple(steps))
 
 
-def transfer_apply(f, t: float, v: float, tail_tol: float = 1e-10,
+def transfer_apply(f, t: float, v: float,
                    grid: CollocationGrid | None = None) -> np.ndarray:
     """Apply the weighted transfer operator to a sampled function.
 
-    ``f`` is either a callable on [0, 1] or an array of samples at the grid
+    ``f`` is a callable on [0, 1] or an array of finite samples at the grid
     nodes.  Values between nodes are obtained by the grid's barycentric
     interpolant.  The branch sum is ``spectral``'s collocation matrix,
-    truncated by ``spectral.truncation_depth`` at ``tail_tol`` and sup|f|
+    truncated by ``spectral.truncation_depth`` at ``TAIL_TOL`` times sup|f|
     and summed by binary doubling (2 to 3 log2(a_max) matrix products and
     no linear solve, so the thousand branches needed near t - v = 0.05 cost
     little more than a few); unlike ``build_matrix`` it does not restrict
@@ -124,8 +124,10 @@ def transfer_apply(f, t: float, v: float, tail_tol: float = 1e-10,
     samples = np.asarray(f(grid.nodes) if callable(f) else f, dtype=float)
     if samples.shape != (grid.n,):
         raise DomainError(f"expected {grid.n} samples, got {samples.shape}")
-    a_max = truncation_depth(t, v, tail_tol, float(np.max(np.abs(samples))))
-    return _branch_matrix(t, v, grid, a_max).dot(samples)
+    sup_f = float(np.max(np.abs(samples)))
+    if not sup_f < math.inf:        # NaN fails this too
+        raise DomainError(f"f must have finite samples, got sup|f| = {sup_f}")
+    return _branch_matrix(t, v, grid, truncation_depth(t, v, sup_f)).dot(samples)
 
 
 @functools.cache

@@ -39,7 +39,7 @@ _SIEVE = 30030
 
 
 def derive_seed(seed: int, label: str, index: int) -> int:
-    seed = require_int("seed", seed)
+    seed, index = require_int("seed", seed), require_int("index", index)
     digest = hashlib.sha256(f"{seed}:{label}:{index}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
 
@@ -57,8 +57,10 @@ def sample_pairs(seed: int, label: str, index: int, count: int, q_lo: int,
     when gcd(p, q) > 1.  Below 2^62 the values are parsed in bulk from
     32-bit words (``_bulk_pairs``) into int64 columns; above it a Python
     loop (``_loop_pairs``) gives object columns of ints.  Both take the
-    same pairs from the same stream.  Needs 2 <= q_hi and q_lo <= q_hi.
+    same pairs from the same stream.  Needs 0 <= count, 2 <= q_hi, q_lo <= q_hi.
     """
+    count = require_int("count", count, 0)
+    q_lo, q_hi = require_int("q_lo", q_lo), require_int("q_hi", q_hi)
     if not (q_hi >= 2 and q_lo <= q_hi):
         raise DomainError(f"no pair has q in [{q_lo}, {q_hi}]")
     draw = _bulk_pairs if q_hi < _BATCH_LIMIT else _loop_pairs

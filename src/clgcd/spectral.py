@@ -4,7 +4,7 @@
 
 on [0, 1].  The operator is discretized on a Chebyshev-Lobatto grid with
 Lagrange cardinal interpolation; the branch sum is truncated once its
-geometric tail is provably below a tolerance.  The branches are dyadic, so
+geometric tail is provably below ``TAIL_TOL``.  The branches are dyadic, so
 the truncated sum is a matrix geometric series L_0 (I + G + ... + G^A), G
 being 2^(v-t) times the cardinal matrix of x -> x/2; this is exact because
 the interpolant reproduces polynomials of degree < n (Berrut-Trefethen, SIAM
@@ -52,7 +52,7 @@ _GRIDS_KEPT = 8
 #: the largest grid: each n x n matrix takes 8 MB there
 GRID_SIZE = 48
 GRID_MAX = 1024
-#: the solvers' default bound on the truncated tail of the branch sum
+#: the bound on the truncated tail of every branch sum
 TAIL_TOL = 1e-14
 #: power iteration's convergence tolerance and iteration cap
 EIGEN_TOL = 1e-12
@@ -158,22 +158,19 @@ def _check_params(t: float, v: float):
         raise DomainError(f"need t - v > {MIN_GAP}, got {t - v}")
 
 
-def truncation_depth(t: float, v: float, tail_tol: float, sup_f: float = 1.0) -> int:
-    """Smallest branch count whose geometric tail is below tail_tol.
+def truncation_depth(t: float, v: float, sup_f: float = 1.0) -> int:
+    """Smallest branch count whose geometric tail is below ``TAIL_TOL``.
 
-    Bound: sup|f| * 2^((A+1)(v-t)) / (1 - 2^(v-t)) < tail_tol, with an extra
+    Bound: sup|f| * 2^((A+1)(v-t)) / (1 - 2^(v-t)) < TAIL_TOL, with an extra
     margin of 8 branches to cover the sup of the cardinal functions when the
     bound is applied columnwise during matrix assembly.
     """
-    if not 0 < tail_tol < math.inf:
-        raise DomainError(f"tail_tol must be positive and finite, got {tail_tol}")
     if not t - v > 0:               # NaN fails this too
         raise DomainError(f"branch sum diverges for t - v <= 0, got {t - v}")
-    room = tail_tol * (1.0 - 2.0 ** (v - t))
+    room = TAIL_TOL * (1.0 - 2.0 ** (v - t))
     need = math.log2(max(sup_f, 1e-300) / room) / (t - v) if room else math.inf
-    if not need < math.inf:
-        raise DomainError(f"no finite truncation depth reaches tail_tol = "
-                          f"{tail_tol} at t - v = {t - v}")
+    if not need < math.inf:         # 1 - 2^(v-t) rounded to 0
+        raise DomainError(f"no finite truncation depth at t - v = {t - v}")
     return max(0, math.ceil(need)) + 8
 
 
@@ -221,11 +218,10 @@ def _branch_matrix(t: float, v: float, grid: CollocationGrid, a_max: int,
     return m, rows * branch0.dot(t_sum)
 
 
-def build_matrix(t: float, v: float, grid: CollocationGrid,
-                 tail_tol: float = TAIL_TOL) -> np.ndarray:
+def build_matrix(t: float, v: float, grid: CollocationGrid) -> np.ndarray:
     """Dense collocation matrix of the operator at (t, v) on ``grid``."""
     _check_params(t, v)
-    return _branch_matrix(t, v, grid, truncation_depth(t, v, tail_tol))
+    return _branch_matrix(t, v, grid, truncation_depth(t, v))
 
 
 @dataclass
@@ -239,7 +235,7 @@ class SpectralResult:
     t: float = math.nan
     v: float = math.nan
     a_max: int = -1
-    tail_tol: float = math.nan
+    tail_tol: float = TAIL_TOL      # fixed: the bound of every branch sum
 
     def to_json_dict(self, include_eigenfunction: bool = False) -> dict:
         d = {
@@ -295,16 +291,15 @@ def dominant_eigen(matrix: np.ndarray, grid: CollocationGrid) -> SpectralResult:
     )
 
 
-def solve_operator(t: float, v: float, n: int = GRID_SIZE,
-                   tail_tol: float = TAIL_TOL) -> SpectralResult:
+def solve_operator(t: float, v: float, n: int = GRID_SIZE) -> SpectralResult:
     """Assemble the matrix at (t, v) and return its dominant eigenpair,
     labelled with (t, v), the truncation depth and the tail bound."""
     grid = _shared_grid(n)
     _check_params(t, v)
-    a_max = truncation_depth(t, v, tail_tol)
+    a_max = truncation_depth(t, v)
     res = dominant_eigen(_branch_matrix(t, v, grid, a_max), grid)
     # set in place: dataclasses.replace would cost 1-2% of a solve
-    res.t, res.v, res.a_max, res.tail_tol = t, v, a_max, tail_tol
+    res.t, res.v, res.a_max = t, v, a_max
     return res
 
 
@@ -349,7 +344,7 @@ def taylor_estimates(n: int = GRID_SIZE) -> TaylorEstimates:
     D = ln2 l^T M_a phi / l^T phi and A = D + 2 lambda l^T(ln(1+x) phi) / l^T phi.
     """
     grid = _shared_grid(n)
-    a_max = truncation_depth(1.0, 0.0, TAIL_TOL)
+    a_max = truncation_depth(1.0, 0.0)
     m, m_a = _branch_matrix(1.0, 0.0, grid, a_max, weighted=True)
     right = dominant_eigen(m, grid)
     left = dominant_eigen(m.T, grid)

@@ -143,26 +143,25 @@ def test_eigen(capsys):
 
 def test_eigen_text_names_the_tail_bound(capsys):
     code, out, _ = invoke(capsys, "eigen", "--t", "1.1", "--v", "0.1",
-                          "--grid", "32", "--tail-tol", "1e-10")
+                          "--grid", "32")
     assert code == 0
-    res = solve_operator(1.1, 0.1, n=32, tail_tol=1e-10)
+    res = solve_operator(1.1, 0.1, n=32)
     assert out.splitlines()[1] == (
-        f"grid = 32, branches = {res.a_max}, tail_tol = 1e-10, "
+        f"grid = 32, branches = {res.a_max}, tail_tol = 1e-14, "
         f"iterations = {res.iterations}")
 
 
 def test_eigen_json_names_the_tail_bound(capsys):
-    res = solve_operator(1.1, 0.1, n=32, tail_tol=1e-10)
+    res = solve_operator(1.1, 0.1, n=32)
     keys = ["t", "v", "grid_size", "a_max", "eigenvalue", "residual",
             "iterations", "tail_tol"]
     for extra in ((), ("--eigenfunction",)):
         code, out, _ = invoke(capsys, "eigen", "--t", "1.1", "--v", "0.1",
-                              "--grid", "32", "--tail-tol", "1e-10",
-                              "--json", *extra)
+                              "--grid", "32", "--json", *extra)
         assert code == 0
         d = json.loads(out)
         assert list(d) == keys + ["eigenfunction"] * len(extra)
-        assert d["tail_tol"] == res.tail_tol == 1e-10
+        assert d["tail_tol"] == res.tail_tol == 1e-14
         # a_max, iterations and residual included
         assert d == res.to_json_dict(include_eigenfunction=bool(extra))
 
@@ -487,9 +486,9 @@ _EVERY_OPTION = [
     (("eval", "--exponents", "1,2", "--json"),
      [("cf_eval", {"exponents": (1, 2)})]),
     (("constants", "--json"), [("m_table", {})]),
-    (("eigen", "--t", "1.1", "--v", "0.1", "--grid", "32", "--tail-tol",
-      "1e-10", "--eigenfunction", "--json"),
-     [("solve_operator", {"t": 1.1, "v": 0.1, "n": 32, "tail_tol": 1e-10})]),
+    (("eigen", "--t", "1.1", "--v", "0.1", "--grid", "32", "--eigenfunction",
+      "--json"),
+     [("solve_operator", {"t": 1.1, "v": 0.1, "n": 32})]),
     (("taylor", "--grid", "32", "--json"), [("taylor_estimates", {"n": 32})]),
     ((*_EXP, "--samples", "500", "--all-pairs", "--seed", "3", "--threads",
       "2", "--out", "OUT", "--json"),
@@ -569,11 +568,8 @@ def test_domain_error_exits_1(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ("eigen", "--t", "1", "--v", "0", "--tail-tol", "nan"),
-    ("eigen", "--t", "1", "--v", "0", "--tail-tol", "inf"),
     ("dirichlet", "--s", "nan"),
     ("dirichlet", "--s", "inf"),
-    ("eigen", "--t", "1", "--v", "0", "--tail-tol", "1e-320"),
     ("expand", "--rational", "31/75", "--depth", "0"),
     ("eigen", "--t", "1", "--v", "0", "--grid", "1"),
     ("taylor", "--grid", "1"),
@@ -589,11 +585,13 @@ def test_domain_error_exits_1(capsys):
     ("conjecture", "--pair-samples", "1"),
     ("experiment", "--slope", "--nmax", "65536", "--samples", "2",
      "--seed", "26"),
+    ("worstcase", "--nmax", "4", "--out", ""),
+    ("experiment", "--nmax", "50", "--exhaustive", "--out", ""),
 ])
 def test_out_of_range_floats_and_terms_exit_1(capsys, argv):
-    # non-finite tolerances and exponents, sizes and counts out of their
-    # ranges, and a ladder whose slope(K) is 0 are domain errors, not
-    # tracebacks or nan output
+    # non-finite exponents, sizes and counts out of their ranges, a ladder
+    # whose slope(K) is 0 and an empty --out are domain errors, not
+    # tracebacks, nan output or a file silently left unwritten
     code, out, err = invoke(capsys, *argv)
     assert code == 1
     assert out == ""
@@ -631,6 +629,11 @@ def test_usage_error_exits_2(capsys):
         run(["constants", "--terms", "7"])   # the series length is fixed
     assert exc_info.value.code == 2
     assert "unrecognized arguments: --terms 7" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc_info:
+        run(["eigen", "--t", "1", "--v", "0", "--tail-tol", "1e-10"])
+    assert exc_info.value.code == 2          # the tail bound is fixed
+    assert ("unrecognized arguments: --tail-tol 1e-10"
+            in capsys.readouterr().err)
 
 
 def test_assertion_failure_exits_3(capsys, monkeypatch):

@@ -133,11 +133,11 @@ def test_transfer_fixed_point_on_grid():
 def test_transfer_constant_function_oracle():
     # at (1, 0) the branch sum telescopes: H[1] = 2 / (1+x)^2
     grid = CollocationGrid(48)
-    out = transfer_apply(np.ones(48), 1.0, 0.0, tail_tol=1e-12, grid=grid)
+    out = transfer_apply(np.ones(48), 1.0, 0.0, grid=grid)
     assert np.max(np.abs(out - 2.0 / (1.0 + grid.nodes) ** 2)) < 1e-10
     # and with a dyadic weight the geometric factor appears
     v = 0.25
-    out = transfer_apply(np.ones(48), 1.0, v, tail_tol=1e-13, grid=grid)
+    out = transfer_apply(np.ones(48), 1.0, v, grid=grid)
     oracle = (1.0 + grid.nodes) ** -2.0 / (1.0 - 2.0 ** (v - 1.0))
     assert np.max(np.abs(out - oracle)) < 1e-10
 
@@ -146,7 +146,7 @@ def test_transfer_constant_function_oracle():
 def test_transfer_is_the_collocation_matrix(t, v):
     # one branch sum: on the unit function (sup 1) the truncation matches too
     grid = CollocationGrid(40)
-    out = transfer_apply(np.ones(40), t, v, tail_tol=1e-14, grid=grid)
+    out = transfer_apply(np.ones(40), t, v, grid=grid)
     assert np.array_equal(out, build_matrix(t, v, grid) @ np.ones(40))
 
 
@@ -168,8 +168,12 @@ def test_transfer_domain_errors():
         transfer_apply(np.ones(16), 0.5, 0.5, grid=grid)
     with pytest.raises(DomainError):
         transfer_apply(np.ones(17), 1.0, 0.0, grid=grid)
-    with pytest.raises(DomainError):
-        transfer_apply(np.ones(16), 1.0, 0.0, tail_tol=0.0, grid=grid)
+    # a sample that is not finite is refused as f's, before the depth
+    for bad in (math.nan, math.inf):
+        samples = np.ones(16)
+        samples[3] = bad
+        with pytest.raises(DomainError, match="^f must have finite samples"):
+            transfer_apply(samples, 1.0, 0.0, grid=grid)
 
 
 def test_quadrature():

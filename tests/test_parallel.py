@@ -107,6 +107,32 @@ def test_sample_pairs_rejects_an_empty_range(q_lo, q_hi):
         sample_pairs(1, "omega", 0, 10, q_lo, q_hi, True)
 
 
+def test_sampler_reads_counts_and_indices_as_ints():
+    # a NumPy integer draws the plain int's pairs; a float count or index,
+    # a negative count and a non-integer bound are refused under their names
+    want = sample_pairs(7, "x", 0, 4, 2, 1000, True)
+    for args in ((np.int64(7), "x", np.int64(0), np.int64(4), np.int64(2),
+                  np.int64(1000), True),
+                 (7, "x", np.uint8(0), np.uint64(4), np.uint64(2),
+                  np.uint64(1000), True)):
+        got = sample_pairs(*args)
+        assert [col.tolist() for col in got] == [col.tolist() for col in want]
+    big = sample_pairs(7, "x", 0, 4, 2, 2 ** 63, True)
+    got = sample_pairs(7, "x", 0, 4, 2, np.uint64(2 ** 63), True)
+    assert [col.tolist() for col in got] == [col.tolist() for col in big]
+    assert derive_seed(1, "x", np.int64(3)) == derive_seed(1, "x", 3)
+    assert derive_seed(1, "x", True) == derive_seed(1, "x", 1)
+    for name, args in (("count", (7, "x", 0, 2.5, 2, 100, True)),
+                       ("count", (7, "x", 0, -3, 2, 100, True)),
+                       ("q_lo", (7, "x", 0, 4, 2.0, 100, True)),
+                       ("q_hi", (7, "x", 0, 4, 2, 100.0, True)),
+                       ("index", (7, "x", 3.0, 4, 2, 100, True))):
+        with pytest.raises(DomainError, match=name):
+            sample_pairs(*args)
+    with pytest.raises(DomainError, match="index"):
+        derive_seed(1, "x", 3.0)
+
+
 def test_part_sums_ints_exactly_and_floats_in_order():
     # the float column is one where pairwise summation (np.sum) would
     # round differently from a running +=

@@ -110,19 +110,17 @@ def test_interpolation_rejects_wrong_length():
 
 
 def test_truncation_depth():
-    assert truncation_depth(1.0, 0.0, 1e-16) > truncation_depth(1.0, 0.0, 1e-8)
+    assert truncation_depth(1.0, 0.0, 1e8) > truncation_depth(1.0, 0.0)
+    assert truncation_depth(1.0, 0.0) > truncation_depth(1.0, 0.0, 1e-8)
     with pytest.raises(DomainError):
-        truncation_depth(1.0, 0.0, 0.0)
-    with pytest.raises(DomainError):
-        truncation_depth(0.5, 0.5, 1e-10)
-    # a NaN gap passes a t - v <= 0 test, a subnormal tolerance sends the
-    # bound to inf, and at t - v = 1e-20 the ratio 2^(v-t) rounds to 1
-    for t, v, tail_tol in ((math.nan, 0.0, 1e-10), (1.0, math.nan, 1e-10),
-                           (1.0, 0.0, 1e-320), (1e-20, 0.0, 1e-10)):
+        truncation_depth(0.5, 0.5)
+    # a NaN gap passes a t - v <= 0 test, and at t - v = 1e-20 the ratio
+    # 2^(v-t) rounds to 1
+    for t, v in ((math.nan, 0.0), (1.0, math.nan), (1e-20, 0.0)):
         with pytest.raises(DomainError):
-            truncation_depth(t, v, tail_tol)
+            truncation_depth(t, v)
         with pytest.raises(DomainError):
-            transfer_apply(psi, t, v, tail_tol=tail_tol)
+            transfer_apply(psi, t, v)
 
 
 def _looped_branch_sums(t, v, grid, a_max):
@@ -143,7 +141,7 @@ def _looped_branch_sums(t, v, grid, a_max):
 def test_branch_sum_closed_form_matches_the_loop(t, v, n):
     # every bit pattern of A + 1 up to 7 bits, and the solvers' depth
     grid = CollocationGrid(n)
-    for a_max in (*range(71), truncation_depth(t, v, 1e-14)):
+    for a_max in (*range(71), truncation_depth(t, v)):
         m, m_a = _branch_matrix(t, v, grid, a_max, weighted=True)
         loop_m, loop_m_a = _looped_branch_sums(t, v, grid, a_max)
         assert np.max(np.abs(m - loop_m)) < 1e-13, a_max
@@ -156,9 +154,9 @@ def test_transfer_with_a_thousand_branches_matches_the_loop(n):
     # t - v = 0.05 is outside the admissible box; the series ratio is 0.966
     t, v = 1.0, 0.95
     grid = CollocationGrid(n)
-    a_max = truncation_depth(t, v, 1e-14)
+    a_max = truncation_depth(t, v)
     assert a_max > 1000
-    out = transfer_apply(np.ones(n), t, v, tail_tol=1e-14, grid=grid)
+    out = transfer_apply(np.ones(n), t, v, grid=grid)
     loop_m, loop_m_a = _looped_branch_sums(t, v, grid, a_max)
     assert np.max(np.abs(out - loop_m @ np.ones(n))) < 1e-13
     m, m_a = _branch_matrix(t, v, grid, a_max, weighted=True)
@@ -203,7 +201,7 @@ def _reference_branch_matrix(t, v, grid, a_max):
 @pytest.mark.parametrize("t,v", [(1.0, 0.0), (0.7, -0.3), (1.3, 0.35)])
 def test_branch_matrix_matches_the_matmul_reference(t, v, n):
     grid = _shared_grid(n)
-    for a_max in (*range(16), truncation_depth(t, v, 1e-14)):
+    for a_max in (*range(16), truncation_depth(t, v)):
         ref_m, ref_m_a = _reference_branch_matrix(t, v, grid, a_max)
         m, m_a = _branch_matrix(t, v, grid, a_max, weighted=True)
         assert m.tobytes() == ref_m.tobytes(), a_max
@@ -273,7 +271,7 @@ def _fresh_grid(n):
 @pytest.mark.parametrize("t,v", [(1.0, 0.0), (0.7, -0.3), (1.3, 0.35)])
 def test_solve_on_the_shared_grid_matches_a_fresh_grid(t, v, n):
     grid = _fresh_grid(n)
-    a_max = truncation_depth(t, v, 1e-14)
+    a_max = truncation_depth(t, v)
     ref = dominant_eigen(build_matrix(t, v, grid), grid)
     for _ in range(2):      # the second solve reuses the shared grid's work
         res = solve_operator(t, v, n=n)
@@ -344,7 +342,7 @@ def test_taylor_slopes_match_closed_forms():
     est = taylor_estimates(n=32)
     assert est.entropy_slope == pytest.approx(table.A, abs=1e-11)
     assert est.shift_slope == pytest.approx(table.D, abs=1e-11)
-    assert est.a_max == truncation_depth(1.0, 0.0, 1e-14)
+    assert est.a_max == truncation_depth(1.0, 0.0)
     assert est.residual < 1e-10
     assert all(0 < it < 100 for it in est.iterations)
     d = est.to_json_dict()
@@ -366,7 +364,7 @@ def _reference_eigenpair(matrix, grid):
 @pytest.mark.parametrize("n", [32, 48])
 def test_taylor_estimates_match_the_matmul_reference(n):
     grid = _shared_grid(n)
-    a_max = truncation_depth(1.0, 0.0, 1e-14)
+    a_max = truncation_depth(1.0, 0.0)
     m, m_a = _reference_branch_matrix(1.0, 0.0, grid, a_max)
     lam, phi, res_right, it_right = _reference_eigenpair(m, grid)
     _, ell, res_left, it_left = _reference_eigenpair(m.T, grid)
