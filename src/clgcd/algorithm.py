@@ -404,34 +404,192 @@ def _det_is_power_of_two(m: np.ndarray, s: np.ndarray) -> np.ndarray:
             | ((top == -1) & (low == _BATCH_LIMIT - power)))
 
 
+# The multi-limb stage holds 2^62 <= w < 2^(62 _LIMB_ROWS) as int64 rows of
+# 62-bit limbs, least significant row first, one column per lane.
+_LIMB_ROWS = 5
+_LIMB_SCALE = 2.0 ** (_WORD_BITS * np.arange(_LIMB_ROWS))
+_SIGN_WEIGHTS = 1 << np.arange(_LIMB_ROWS)
+# the float quotient of two limb columns is within 2^-49 of w/u; biased up
+# by more than that, its exponent is the digit or one above it
+_DIGIT_BIAS = 1.0 + 2.0 ** -45
+# passes between strips of the common power of two
+_STRIP_EVERY = 8
+
+
+def _limbs(x: np.ndarray) -> np.ndarray:
+    """The (_LIMB_ROWS, n) int64 limbs of an object array of ints."""
+    words = -(-_WORD_BITS * _LIMB_ROWS // 64)
+    raw = b"".join(v.to_bytes(8 * words, "little") for v in x.tolist())
+    w64 = np.frombuffer(raw, np.uint64).reshape(-1, words).T
+    out = np.empty((_LIMB_ROWS, len(x)), np.int64)
+    for i in range(_LIMB_ROWS):
+        j, o = divmod(_WORD_BITS * i, 64)
+        v = w64[j] >> np.uint64(o)
+        if o > 64 - _WORD_BITS and j + 1 < words:
+            v |= w64[j + 1] << np.uint64(64 - o)
+        out[i] = (v & np.uint64(_WORD_MASK)).view(np.int64)
+    return out
+
+
+def _from_limbs(column: np.ndarray) -> int:
+    return sum(int(v) << (_WORD_BITS * i)
+               for i, v in enumerate(column.tolist()))
+
+
+def _limb_float(x: np.ndarray) -> np.ndarray:
+    """Every column of limbs as a float, within 5 roundings of its value."""
+    return _LIMB_SCALE[:len(x)] @ x.astype(np.float64)
+
+
+def _limb_less(u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """u < w on columns of limbs, exactly: the top differing row decides."""
+    return (_SIGN_WEIGHTS[:len(u)] @ np.sign(w - u)) > 0
+
+
+def _limb_shift_right(x: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """x >> v on columns of limbs, for 0 <= v < 62."""
+    out = x >> v
+    out[:-1] |= (x[1:] & ((1 << v) - 1)) << (_WORD_BITS - v)
+    return out
+
+
+def _limb_step(u: np.ndarray, w: np.ndarray, a: np.ndarray):
+    """u << a and w - (u << a) on columns of limbs, for 0 <= a < 62, with
+    the bits shifted past the top row: (shifted, r, hi).  r carries its
+    borrows down to the top row, which is negative when 2^a u > w."""
+    shifted = (u & (_WORD_MASK >> a)) << a
+    hi = u >> (_WORD_BITS - a)
+    shifted[1:] |= hi[:-1]
+    r = w - shifted
+    while len(r) > 1:
+        borrow = r[:-1] >> _WORD_BITS
+        r[:-1] &= _WORD_MASK
+        r[1:] += borrow
+        if len(r) < 3 or r[1:-1].min() >= 0:
+            break
+    return shifted, r, hi[-1]
+
+
+def _limb_passes(index, u, w, p, q):
+    """The greedy ``_exponent_run`` on columns of limbs, one step per pass.
+
+    ``u`` and ``w`` are (_LIMB_ROWS, n) limbs of the lanes ``index`` of
+    the columns p and q.  The digit is the exponent of the biased float
+    quotient of the two columns, a or a + 1; a borrow out of the top row
+    or a bit shifted past it takes it down by one.  Every _STRIP_EVERY
+    passes the common power of two goes into the lane's scale and empty
+    top rows are dropped.  A lane leaves at the first pass start where
+    its remainder is 0 (ended canonically, u = 0), its w is below 2^62,
+    its digit is 62 or more, or its low limbs are both 0, and its exact
+    (u, w) is returned: K, S, scale, u and w.  From the second pass on,
+    0 < u < w is checked, by the float quotient where it is clear and on
+    the limbs where it is not; a wrong digit raises ConsistencyError.
+    """
+    n = u.shape[1]
+    k, s, scale = (np.zeros(n, np.int64) for _ in range(3))
+    u_end, w_end = np.zeros_like(u), np.zeros_like(w)
+    live = np.arange(n)
+    sl = np.zeros(n, np.int64)
+    a = sl
+    count = 0
+
+    def broken(j):
+        i = index[live[j]]
+        return ConsistencyError("multi-limb step broke the run of "
+                                f"{(int(p[i]), int(q[i]))}")
+
+    while live.size:
+        fu, fw = _limb_float(u), _limb_float(w)
+        if fu.min() == 0:
+            # the last remainder was 0: relabel (..., a) -> (..., a - 1, 0)
+            end = fu == 0
+            e = np.minimum(a[end], 1)
+            j = live[end]
+            k[j] = count + e
+            s[j] = sl[end] - e
+            w_end[:len(w), j] = _limb_shift_right(w[:, end], e)
+            keep = ~end
+            live, sl, u, w, fu, fw = (live[keep], sl[keep], u[:, keep],
+                                      w[:, keep], fu[keep], fw[keep])
+            if not live.size:
+                break
+        ratio = fw / fu
+        if count and ratio.min() <= _DIGIT_BIAS:
+            near = np.flatnonzero(ratio <= _DIGIT_BIAS)
+            bad = ~_limb_less(u[:, near], w[:, near])
+            if bad.any():
+                raise broken(near[np.argmax(bad)])
+        ratio *= _DIGIT_BIAS
+        a = _float_exponent(ratio)
+        leave = a >= _WORD_BITS if a.max() >= _WORD_BITS else None
+        if count % _STRIP_EVERY == 0:
+            z = u[0] | w[0]
+            zero = z == 0
+            v = _v2(z | zero)
+            u, w = _limb_shift_right(u, v), _limb_shift_right(w, v)
+            scale[live] += v
+            rows = len(w)
+            while rows > 1 and not w[rows - 1].any():
+                rows -= 1
+            u, w = u[:rows], w[:rows]
+            out = zero | ~w[1:].any(axis=0)
+            leave = out if leave is None else leave | out
+        if leave is not None and leave.any():
+            j = live[leave]
+            k[j] = count
+            s[j] = sl[leave]
+            u_end[:len(u), j] = u[:, leave]
+            w_end[:len(w), j] = w[:, leave]
+            keep = ~leave
+            live, sl, u, w, a = (live[keep], sl[keep], u[:, keep],
+                                 w[:, keep], a[keep])
+            if not live.size:
+                break
+        shifted, r, hi = _limb_step(u, w, a)
+        if r[-1].min() < 0 or hi.any():
+            a -= (r[-1] < 0) | (hi != 0)
+            shifted, r, hi = _limb_step(u, w, a)
+            if r[-1].min() < 0 or hi.any():
+                raise broken(np.argmax((r[-1] < 0) | (hi != 0)))
+        sl += a
+        count += 1
+        u, w = r, shifted
+    return k, s, scale, u_end, w_end
+
+
 def _leading_word_run(p, q):
     """``_exponent_run`` (canonical) on the p and q columns of pairs of any
     size: K, S, terminal.
 
-    Lehmer's leading-word method in rounds, on object arrays of the big
-    integers.  Every (u, w) first loses its common power of two: the step
-    is scale-invariant, so the digits do not change and the power joins
-    v(terminal).  Pairs with w < 2^62 leave for ``_lockstep_passes``,
-    which finishes them all at once.  The rest hand their leading 62-bit
-    words to ``_certified_batch`` and apply its matrix once to the big
-    integers; a pair with no certified digit finishes in
-    ``_exponent_run``.  The kernel holds no step rule of its own: the
-    digits come from ``_certified_batch``, ``_lockstep_passes`` or
-    ``_exponent_run``, and the canonical end from the last two.  Every
-    applied batch is checked exactly, |det M| = 2^(shift sum) on the
-    int64 matrix (``_det_is_power_of_two``) and 0 < u' < w' on the big
-    integers, or ConsistencyError is raised.  The per-round bookkeeping
-    stays in int64: the common power of two comes from the low 62-bit
-    word of u | w, and one bit length of w serves both the 2^62 test and
-    the word shift.  Returns K and S as int64 arrays and the terminal as
-    an object array.
+    Three stages, each exact.  Every (u, w) first loses its common power
+    of two: the step is scale-invariant, so the digits do not change and
+    the power joins v(terminal).
+    1. Lehmer's leading-word rounds, on object arrays of the big integers,
+       while w >= 2^(62 _LIMB_ROWS): each pair hands its leading 62-bit
+       words to ``_certified_batch`` and applies its matrix once.  Every
+       applied batch is checked, |det M| = 2^(shift sum) on the int64
+       matrix (``_det_is_power_of_two``) and 0 < u' < w' on the big
+       integers, or ConsistencyError is raised.  A pair with no certified
+       digit finishes in ``_exponent_run``.
+    2. ``_limb_passes`` below 2^(62 _LIMB_ROWS): one exact step per pass
+       on int64 limbs, each digit checked by 0 < u < w on the limbs.  A
+       lane whose remainder vanishes there ends canonically in place; a
+       digit of 62 or more or a common power of two of 62 or more sends
+       the lane to ``_exponent_run`` from its exact (u, w).
+    3. ``_lockstep_passes`` below 2^62, all remaining lanes at once.
+    The kernel holds no step rule of its own: the digits come from
+    ``_certified_batch``, ``_limb_step``, ``_lockstep_passes`` or
+    ``_exponent_run``.  The power-of-two terminal of every orbit is
+    checked by the caller.  Returns K and S as int64 arrays and the
+    terminal as an object array.
     """
     n = len(p)
     k = np.zeros(n, np.int64)
     s = np.zeros(n, np.int64)
     scale = np.zeros(n, np.int64)
     terminal = np.zeros(n, object)
-    finish = []
+    limbs, scalar = [], []
+    limit = _WORD_BITS * _LIMB_ROWS
     live = np.arange(n)
     u, w = np.array(p, object), np.array(q, object)
     while live.size:
@@ -442,9 +600,9 @@ def _leading_word_run(p, q):
         u, w = u >> z, w >> z
         scale[live] += z
         wbits = _bitlen(w).astype(np.int64)
-        small = wbits <= _WORD_BITS
+        small = wbits <= limit
         if small.any():
-            finish.append((live[small], u[small], w[small]))
+            limbs.append((live[small], u[small], w[small]))
             big = ~small
             live, u, w, wbits = live[big], u[big], w[big], wbits[big]
             if not live.size:
@@ -465,22 +623,34 @@ def _leading_word_run(p, q):
         s[live] += shifts
         stuck = count == 0
         if stuck.any():
-            for j in np.flatnonzero(stuck).tolist():
-                i = live[j]
-                exps, end = _exponent_run(u[j], w[j])
-                k[i] += len(exps)
-                s[i] += sum(exps)
-                terminal[i] = end << int(scale[i])
+            scalar += zip(live[stuck].tolist(), u[stuck].tolist(),
+                          w[stuck].tolist())
             live, u, w = live[~stuck], u[~stuck], w[~stuck]
-    if finish:
-        live, u, w = (np.concatenate(x) for x in zip(*finish))
-        ks, ss, ts, _ = _lockstep_passes(u.astype(np.int64),
-                                         w.astype(np.int64))
+    if limbs:
+        index, u, w = (np.concatenate(x) for x in zip(*limbs))
+        ks, ss, zs, u, w = _limb_passes(index, _limbs(u), _limbs(w), p, q)
+        k[index] += ks
+        s[index] += ss
+        scale[index] += zs
+        ended = ~u.any(axis=0)
+        small = ~ended & ~w[1:].any(axis=0)
+        for j in np.flatnonzero(~small).tolist():
+            i = index[j]
+            if ended[j]:
+                terminal[i] = _from_limbs(w[:, j]) << int(scale[i])
+            else:
+                scalar.append((i, _from_limbs(u[:, j]), _from_limbs(w[:, j])))
+        live = index[small]
+        ks, ss, ts, _ = _lockstep_passes(u[0, small], w[0, small])
         k[live] += ks
         s[live] += ss
         terminal[live] = ts.astype(object) << scale[live].astype(object)
+    for i, u, w in scalar:
+        exps, end = _exponent_run(u, w)
+        k[i] += len(exps)
+        s[i] += sum(exps)
+        terminal[i] = end << int(scale[i])
     return k, s, terminal
-
 
 def cf_eval(exponents) -> Fraction:
     """Exact value of the expansion: h_{a_1}( ... h_{a_K}(0) ... ).

@@ -15,12 +15,14 @@ the spectral module.
 ``birkhoff_estimates`` measures the per-step growth rates along orbits of
 high random rationals: shift rate, entropy, dyadic growth of the continuant
 gcd, and the valuation rate of the running gcd from the trace table.  The
-orbits run through ``algorithm._leading_word_run``, the leading-word
-kernel, which takes the p and q columns and gives K, S and the terminal
-modulus of ``_exponent_run`` bit for bit as arrays.  It checks every batch
-it applies: |det M| = 2^(shift sum), decided exactly in int64, and
-0 < u' < w' on the big integers.  Every orbit's terminal must be a power
-of two, checked on the whole terminal column as the ensemble's cost stage
+orbits run through ``algorithm._leading_word_run``, which takes the p and
+q columns and gives K, S and the terminal modulus of ``_exponent_run`` bit
+for bit as arrays, in three stages: leading-word rounds while w >= 2^310,
+the multi-limb int64 stage below that, and the int64 lockstep below 2^62.
+Each Lehmer batch is checked (|det M| = 2^(shift sum), decided exactly in
+int64, and 0 < u' < w' on the big integers), and so is each multi-limb
+digit (0 < u < w on the limbs).  Every orbit's terminal must be a power of
+two, checked on the whole terminal column as the ensemble's cost stage
 checks its own.  Chunks of orbits fix the seeds and the order of the sums;
 one ``map_chunks`` task, in this process or a forked worker, runs a fixed
 group of chunks through the kernel in one lockstep.  The pairs are drawn

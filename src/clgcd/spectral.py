@@ -168,7 +168,9 @@ def truncation_depth(t: float, v: float, sup_f: float = 1.0) -> int:
     if not t - v > 0:               # NaN fails this too
         raise DomainError(f"branch sum diverges for t - v <= 0, got {t - v}")
     room = TAIL_TOL * (1.0 - 2.0 ** (v - t))
-    need = math.log2(max(sup_f, 1e-300) / room) / (t - v) if room else math.inf
+    # in logs: sup_f / room overflows for sup|f| near the float maximum
+    need = ((math.log2(max(sup_f, 1e-300)) - math.log2(room)) / (t - v)
+            if room else math.inf)
     if not need < math.inf:         # 1 - 2^(v-t) rounded to 0
         raise DomainError(f"no finite truncation depth at t - v = {t - v}")
     return max(0, math.ceil(need)) + 8

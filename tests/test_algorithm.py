@@ -577,7 +577,10 @@ def _leading_word_lists(pairs):
 
 @st.composite
 def big_pairs(draw):
-    bits = draw(st.integers(min_value=1, max_value=2048))
+    # often next to a row boundary of the multi-limb stage
+    bits = draw(st.integers(min_value=1, max_value=2048)
+                | st.sampled_from([62 * j + d for j in range(1, 6)
+                                   for d in (-1, 0, 1)]))
     q = draw(st.integers(min_value=2, max_value=max(2, 1 << bits)))
     return draw(st.integers(min_value=1, max_value=q - 1)), q
 
@@ -620,6 +623,22 @@ def _edge_pairs():
         for e in (1, 5, 70):
             p, q = sorted(rng.getrandbits(200) | 1 for _ in range(2))
             out.append(((d * p) << e, (d * q) << e))
+    # the multi-limb stage: q at and next to its row boundaries, (q - 1, q)
+    # and (1, 2^b +- 1) there, a digit of 62 or more, a common power of
+    # two of 62 or more, an odd gcd that ends the run inside the stage,
+    # and pairs that cross from the leading-word rounds into the stage
+    for b in (124, 186, 248, 310):
+        for q in ((1 << b) - 1, 1 << b, (1 << b) + 1):
+            out += [(q - 1, q), (rng.randrange(1, q), q), (q // 3, q)]
+        out += [(1, (1 << b) - 1), (1, (1 << b) + 1)]
+    out += [(3, 3 * (1 << 150) + 5), (5, (5 << 200) + 1),
+            (rng.getrandbits(100) << 62,
+             rng.getrandbits(150) << 62 | 1 << 211)]
+    odd = rng.getrandbits(80) | 1 << 79 | 1
+    out += [(odd * 3, odd * 7), (odd << 3, odd * 11), (odd, odd << 65)]
+    for bits in (1000, 2048):
+        q = rng.getrandbits(bits) | 1 << (bits - 1)
+        out += [(rng.randrange(1, q), q) for _ in range(3)]
     return out
 
 
@@ -669,6 +688,8 @@ def test_leading_word_run_leaves_uncertified_pairs_to_the_scalar_kernel(
 
     monkeypatch.setattr(algorithm, "cl_step", no_step)
     monkeypatch.setattr(algorithm, "_exponent_run", recording)
+    # with one limb the leading-word rounds run down to 2^62
+    monkeypatch.setattr(algorithm, "_LIMB_ROWS", 1)
     pairs = [(1, 1 << 300), (3, 3 << 70), (5 ** 40, 5 ** 40)]
     assert _leading_word_lists(pairs) == _scalar_runs(pairs)
     assert finished == pairs
@@ -688,6 +709,7 @@ def test_leading_word_batches_stay_below_the_matrix_limit(monkeypatch):
         return batch
 
     monkeypatch.setattr(algorithm, "_MATRIX_BITS", 12)
+    monkeypatch.setattr(algorithm, "_LIMB_ROWS", 1)
     monkeypatch.setattr(algorithm, "_certified_batch", recording)
     rng = random.Random(5)
     pairs = [(rng.getrandbits(299), rng.getrandbits(300) | 1 << 299)
@@ -702,6 +724,7 @@ def test_certificate_alone_keeps_the_digits(monkeypatch):
     # tests alone must still reject every digit they do not prove.  Runs
     # with large digits and their neighbours reach that state often.
     monkeypatch.setattr(algorithm, "_MATRIX_BITS", 1 << 20)
+    monkeypatch.setattr(algorithm, "_LIMB_ROWS", 1)
     rng = random.Random(8)
     pairs = []
     while len(pairs) < 600:
@@ -735,6 +758,16 @@ def test_leading_word_run_finishes_coprime_orbits_in_int64(monkeypatch):
     assert finished == [len(pairs)]
 
 
+def test_multi_limb_stage_rejects_a_digit_one_too_low(monkeypatch):
+    # halving the bias puts the float estimate one below the digit; the
+    # remainder then reaches the shifted term, which the check catches
+    monkeypatch.setattr(algorithm, "_DIGIT_BIAS", 0.5)
+    pair = (3 ** 100, 5 ** 90)
+    with pytest.raises(ConsistencyError, match=re.escape(
+            f"multi-limb step broke the run of {pair}")):
+        _leading_word_run([2, pair[0]], [3, pair[1]])
+
+
 def test_leading_word_run_rejects_a_broken_batch(monkeypatch):
     certified_batch = algorithm._certified_batch
 
@@ -744,6 +777,7 @@ def test_leading_word_run_rejects_a_broken_batch(monkeypatch):
         return batch
 
     monkeypatch.setattr(algorithm, "_certified_batch", one_shift_more)
+    monkeypatch.setattr(algorithm, "_LIMB_ROWS", 1)
     # the message names the pair from its p and q columns
     with pytest.raises(ConsistencyError, match=re.escape(
             f"leading-word batch broke the run of {(3 ** 100, 5 ** 70)}")):
@@ -760,6 +794,7 @@ def test_leading_word_run_rejects_a_moved_matrix_entry(monkeypatch, row):
         return batch
 
     monkeypatch.setattr(algorithm, "_certified_batch", moved)
+    monkeypatch.setattr(algorithm, "_LIMB_ROWS", 1)
     with pytest.raises(ConsistencyError, match="leading-word"):
         _leading_word_run([3 ** 100], [5 ** 70])
 

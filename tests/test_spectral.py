@@ -10,6 +10,7 @@ from clgcd.errors import ConvergenceError, DomainError
 from clgcd.spectral import (
     _GRIDS_KEPT,
     GRID_MAX,
+    TAIL_TOL,
     CollocationGrid,
     TaylorEstimates,
     _branch_matrix,
@@ -375,3 +376,16 @@ def test_taylor_estimates_match_the_matmul_reference(n):
     assert taylor_estimates(n=n) == TaylorEstimates(
         entropy_slope=entropy, shift_slope=shift, grid_size=n, a_max=a_max,
         residual=max(res_right, res_left), iterations=(it_right, it_left))
+
+
+def test_truncation_depth_takes_the_bound_in_logs():
+    # sup|f| / room overflowed to inf near the float maximum, so 1e300
+    # had no depth while 1e290 had one
+    grid = CollocationGrid(16)
+    for sup in (1e290, 1e300, 1.7e308):
+        depth = truncation_depth(1.0, 0.0, sup)
+        # room = TAIL_TOL (1 - 2^-1) at t - v = 1
+        assert depth == math.ceil(math.log2(sup) - math.log2(TAIL_TOL / 2)) + 8
+    image = transfer_apply(np.full(16, 1e300), 1.0, 0.0, grid=grid)
+    assert np.isfinite(image).all()
+    assert truncation_depth(1.0, 0.0) == 56
