@@ -405,11 +405,14 @@ def _det_is_power_of_two(m: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 
 # The multi-limb stage holds 2^62 <= w < 2^(62 _LIMB_ROWS) as int64 rows of
-# 62-bit limbs, least significant row first, one column per lane.
-_LIMB_ROWS = 5
+# 62-bit limbs, least significant row first, one column per lane.  Eight
+# rows (496 bits) is where the stage stops beating the leading-word rounds:
+# per 2048-orbit group it was ahead by 10-12% at 400 and 448 bits and level
+# with them from 640 to 1024 bits, and fell behind there at 11 rows or more.
+_LIMB_ROWS = 8
 _LIMB_SCALE = 2.0 ** (_WORD_BITS * np.arange(_LIMB_ROWS))
 _SIGN_WEIGHTS = 1 << np.arange(_LIMB_ROWS)
-# the float quotient of two limb columns is within 2^-49 of w/u; biased up
+# the float quotient of two limb columns is within 2^-48 of w/u; biased up
 # by more than that, its exponent is the digit or one above it
 _DIGIT_BIAS = 1.0 + 2.0 ** -45
 # passes between strips of the common power of two
@@ -437,7 +440,9 @@ def _from_limbs(column: np.ndarray) -> int:
 
 
 def _limb_float(x: np.ndarray) -> np.ndarray:
-    """Every column of limbs as a float, within 5 roundings of its value."""
+    """Every column of limbs as a float, within _LIMB_ROWS roundings of its
+    value: one per limb and one per sum of two of them, on nonnegative
+    terms, so a relative error below 2^-50."""
     return _LIMB_SCALE[:len(x)] @ x.astype(np.float64)
 
 
@@ -479,9 +484,11 @@ def _limb_passes(index, u, w, p, q):
     or a bit shifted past it takes it down by one.  Every _STRIP_EVERY
     passes the common power of two goes into the lane's scale and empty
     top rows are dropped.  A lane leaves at the first pass start where
-    its remainder is 0 (ended canonically, u = 0), its w is below 2^62,
-    its digit is 62 or more, or its low limbs are both 0, and its exact
-    (u, w) is returned: K, S, scale, u and w.  From the second pass on,
+    its remainder is 0 (ended canonically, u = 0) or its digit is 62 or
+    more, and at the first strip where its w is below 2^62 or its low
+    limbs are both 0, so up to _STRIP_EVERY - 1 passes after it got
+    there; its exact (u, w) is returned: K, S, scale, u and w.  From the
+    second pass on,
     0 < u < w is checked, by the float quotient where it is clear and on
     the limbs where it is not; a wrong digit raises ConsistencyError.
     """
@@ -581,7 +588,8 @@ def _leading_word_run(p, q):
     ``_certified_batch``, ``_limb_step``, ``_lockstep_passes`` or
     ``_exponent_run``.  The power-of-two terminal of every orbit is
     checked by the caller.  Returns K and S as int64 arrays and the
-    terminal as an object array.
+    terminal as an object array.  ``_orbit_runs`` sends groups too small
+    to pay for the passes to ``_exponent_run`` instead.
     """
     n = len(p)
     k = np.zeros(n, np.int64)
@@ -651,6 +659,29 @@ def _leading_word_run(p, q):
         s[i] += sum(exps)
         terminal[i] = end << int(scale[i])
     return k, s, terminal
+
+
+# Below this many pairs one ``_exponent_run`` per pair beats the vector
+# stages, whose cost per pass hardly depends on the lane count.  Measured
+# break-even (one 2-core box): 64-128 pairs at 64 bits, 128-256 at 256
+# bits and 64-128 at 1024 bits; one pair took 0.02, 0.11 and 0.32 ms alone
+# against 1.7, 11.8 and 31.8 ms in the vector stages.
+_VECTOR_MIN = 128
+
+
+def _orbit_runs(p, q):
+    """K, S, terminal of ``_exponent_run`` (canonical) on the p and q
+    columns, as ``_leading_word_run`` gives them: pair by pair below
+    _VECTOR_MIN pairs, in ``_leading_word_run`` from there on."""
+    if len(p) >= _VECTOR_MIN:
+        return _leading_word_run(p, q)
+    runs = [_exponent_run(u, w) for u, w in zip(p.tolist(), q.tolist())]
+    k = np.array([len(exps) for exps, _ in runs], np.int64)
+    s = np.array([sum(exps) for exps, _ in runs], np.int64)
+    terminal = np.empty(len(runs), object)
+    terminal[:] = [end for _, end in runs]
+    return k, s, terminal
+
 
 def cf_eval(exponents) -> Fraction:
     """Exact value of the expansion: h_{a_1}( ... h_{a_K}(0) ... ).

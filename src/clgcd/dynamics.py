@@ -15,15 +15,17 @@ the spectral module.
 ``birkhoff_estimates`` measures the per-step growth rates along orbits of
 high random rationals: shift rate, entropy, dyadic growth of the continuant
 gcd, and the valuation rate of the running gcd from the trace table.  The
-orbits run through ``algorithm._leading_word_run``, which takes the p and
-q columns and gives K, S and the terminal modulus of ``_exponent_run`` bit
-for bit as arrays, in three stages: leading-word rounds while w >= 2^310,
-the multi-limb int64 stage below that, and the int64 lockstep below 2^62.
-Each Lehmer batch is checked (|det M| = 2^(shift sum), decided exactly in
-int64, and 0 < u' < w' on the big integers), and so is each multi-limb
-digit (0 < u < w on the limbs).  Every orbit's terminal must be a power of
-two, checked on the whole terminal column as the ensemble's cost stage
-checks its own.  Chunks of orbits fix the seeds and the order of the sums;
+orbits run through ``algorithm._orbit_runs``, which takes the p and q
+columns and gives K, S and the terminal modulus of ``_exponent_run`` bit
+for bit as arrays.  A group of fewer than ``algorithm._VECTOR_MIN``
+orbits runs pair by pair in ``_exponent_run``; a larger one runs in
+``_leading_word_run``, in three stages: leading-word rounds while
+w >= 2^496, the multi-limb int64 stage below that, and the int64 lockstep
+below 2^62.  Each Lehmer batch is checked (|det M| = 2^(shift sum),
+decided exactly in int64, and 0 < u' < w' on the big integers), and so is
+each multi-limb digit (0 < u < w on the limbs).  Every orbit's terminal
+must be a power of two, checked here on the whole terminal column as the
+ensemble's cost stage checks its own.  Chunks of orbits fix the seeds and the order of the sums;
 one ``map_chunks`` task, in this process or a forked worker, runs a fixed
 group of chunks through the kernel in one lockstep.  The pairs are drawn
 by ``parallel.sample_pairs``, the ensembles' sampler, uniform on the
@@ -39,7 +41,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algorithm import _leading_word_run, _v2, cl_step
+from .algorithm import _orbit_runs, _v2, cl_step
 from .constants import LN2, LOG43
 from .dyadic import dyadic_norm
 from .errors import ConsistencyError, DomainError, require_int, require_rational
@@ -203,7 +205,7 @@ def _birkhoff_group(args):
     p, q = (np.concatenate(c) for c in zip(*(
         sample_pairs(seed, label, index, count, 1 << (bits - 1),
                      (1 << bits) - 1, True) for index, count in chunks)))
-    k, s, terminal = _leading_word_run(p, q)
+    k, s, terminal = _orbit_runs(p, q)
     vt = _v2(terminal)
     if (terminal >> vt != 1).any():
         raise ConsistencyError("coprime input left an odd factor")
@@ -228,9 +230,9 @@ def birkhoff_estimates(bits: int, samples: int, seed: int,
     per-chunk sums, merged in chunk order; groups of ``_BIRKHOFF_GROUP``
     chunks fix the lockstep, one group per ``map_chunks`` task.  Each chunk
     draws its pairs with ``parallel.sample_pairs``, as an ensemble chunk
-    does, and a group hands their p and q columns to the leading-word
-    kernel, whose applied batches are checked exactly; every terminal must
-    be a power of two.
+    does, and a group hands their p and q columns to
+    ``algorithm._orbit_runs``, whose batches and multi-limb digits are
+    checked exactly; every terminal must be a power of two.
     """
     bits = require_int("bits", bits, 16)
     samples = require_int("samples", samples, 2)

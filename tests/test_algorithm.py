@@ -579,7 +579,8 @@ def _leading_word_lists(pairs):
 def big_pairs(draw):
     # often next to a row boundary of the multi-limb stage
     bits = draw(st.integers(min_value=1, max_value=2048)
-                | st.sampled_from([62 * j + d for j in range(1, 6)
+                | st.sampled_from([62 * j + d
+                                   for j in range(1, algorithm._LIMB_ROWS + 1)
                                    for d in (-1, 0, 1)]))
     q = draw(st.integers(min_value=2, max_value=max(2, 1 << bits)))
     return draw(st.integers(min_value=1, max_value=q - 1)), q
@@ -606,9 +607,10 @@ def _edge_pairs():
             for d in {1, (1 << sh) - 1 or 1, 1 << sh, (1 << sh) + 1}:
                 out += [(p, q) for q in (q0 - d, q0 + d) if p < q]
     for a in (0, 1, 3, 20, 60):
-        for sh in (1, 10, 100):
+        for sh in (1, 10, 100, 500):
             # the upper endpoint (uh + 1)/wh sits exactly on 2^-a: its
             # remainder is 0, so the first digit must not be certified
+            # (at sh = 500 in the leading-word rounds, below in the stage)
             top = (1 << (62 - a)) - 1
             big_u = rng.randrange(top >> 1, top)
             out.append((big_u << sh | ((1 << sh) - 1),
@@ -627,7 +629,7 @@ def _edge_pairs():
     # and (1, 2^b +- 1) there, a digit of 62 or more, a common power of
     # two of 62 or more, an odd gcd that ends the run inside the stage,
     # and pairs that cross from the leading-word rounds into the stage
-    for b in (124, 186, 248, 310):
+    for b in range(124, 62 * algorithm._LIMB_ROWS + 1, 62):
         for q in ((1 << b) - 1, 1 << b, (1 << b) + 1):
             out += [(q - 1, q), (rng.randrange(1, q), q), (q // 3, q)]
         out += [(1, (1 << b) - 1), (1, (1 << b) + 1)]
@@ -688,9 +690,9 @@ def test_leading_word_run_leaves_uncertified_pairs_to_the_scalar_kernel(
 
     monkeypatch.setattr(algorithm, "cl_step", no_step)
     monkeypatch.setattr(algorithm, "_exponent_run", recording)
-    # with one limb the leading-word rounds run down to 2^62
-    monkeypatch.setattr(algorithm, "_LIMB_ROWS", 1)
-    pairs = [(1, 1 << 300), (3, 3 << 70), (5 ** 40, 5 ** 40)]
+    # each w is above the multi-limb stage, so the rounds see it first
+    pairs = [(1, 1 << 600), (3, 3 << 570), (5 ** 250, 5 ** 250)]
+    assert min(q for _, q in pairs) >> 62 * algorithm._LIMB_ROWS
     assert _leading_word_lists(pairs) == _scalar_runs(pairs)
     assert finished == pairs
     edge = _edge_pairs()
@@ -709,10 +711,9 @@ def test_leading_word_batches_stay_below_the_matrix_limit(monkeypatch):
         return batch
 
     monkeypatch.setattr(algorithm, "_MATRIX_BITS", 12)
-    monkeypatch.setattr(algorithm, "_LIMB_ROWS", 1)
     monkeypatch.setattr(algorithm, "_certified_batch", recording)
     rng = random.Random(5)
-    pairs = [(rng.getrandbits(299), rng.getrandbits(300) | 1 << 299)
+    pairs = [(rng.getrandbits(699), rng.getrandbits(700) | 1 << 699)
              for _ in range(40)]
     assert _leading_word_lists(pairs) == _scalar_runs(pairs)
     assert 0 < max(seen) < 1 << 12
@@ -724,14 +725,16 @@ def test_certificate_alone_keeps_the_digits(monkeypatch):
     # tests alone must still reject every digit they do not prove.  Runs
     # with large digits and their neighbours reach that state often.
     monkeypatch.setattr(algorithm, "_MATRIX_BITS", 1 << 20)
-    monkeypatch.setattr(algorithm, "_LIMB_ROWS", 1)
     rng = random.Random(8)
     pairs = []
+    # an odd factor above the multi-limb stage keeps every w there, so the
+    # rounds take each run to its end
+    odd = rng.getrandbits(520) | 1 << 519 | 1
     while len(pairs) < 600:
         digits = [rng.choice((0, 0, 1, rng.randrange(2, 40)))
                   for _ in range(rng.randrange(3, 40))] + [0]
         cp = continuants(digits)
-        pairs += [(cp.P + dp, cp.Q + dq) for dp, dq in
+        pairs += [(odd * (cp.P + dp), odd * (cp.Q + dq)) for dp, dq in
                   ((0, 0), (1, 0), (0, 1), (-1, 1)) if 0 < cp.P + dp < cp.Q + dq]
     assert _leading_word_lists(pairs) == _scalar_runs(pairs)
 
@@ -758,6 +761,45 @@ def test_leading_word_run_finishes_coprime_orbits_in_int64(monkeypatch):
     assert finished == [len(pairs)]
 
 
+def test_small_groups_take_the_scalar_kernel(monkeypatch):
+    # one orbit runs in _exponent_run alone; a group of _VECTOR_MIN runs
+    # in the vector stages, and both give _exponent_run's K, S, terminal
+    calls = []
+    exponent_run, leading_word_run = (algorithm._exponent_run,
+                                      algorithm._leading_word_run)
+
+    def scalar(u, w, *args):
+        calls.append("scalar")
+        return exponent_run(u, w, *args)
+
+    def vector(p, q):
+        calls.append(("vector", len(p)))
+        return leading_word_run(p, q)
+
+    monkeypatch.setattr(algorithm, "_exponent_run", scalar)
+    monkeypatch.setattr(algorithm, "_leading_word_run", vector)
+    rng = random.Random(9)
+    pairs = []
+    while len(pairs) < algorithm._VECTOR_MIN:
+        q = rng.getrandbits(256) | 1 << 255
+        p = rng.randrange(1, q)
+        if gcd(p, q) == 1:
+            pairs.append((p, q))
+    for group in (pairs[:1], pairs):
+        p = np.array([p for p, _ in group], object)
+        q = np.array([q for _, q in group], object)
+        calls.clear()
+        k, s, terminal = algorithm._orbit_runs(p, q)
+        assert (k.dtype, s.dtype, terminal.dtype) == (np.int64, np.int64,
+                                                      object)
+        monkeypatch.setattr(algorithm, "_exponent_run", exponent_run)
+        assert [k.tolist(), s.tolist(), terminal.tolist()] == \
+            list(_scalar_runs(group))
+        monkeypatch.setattr(algorithm, "_exponent_run", scalar)
+        assert calls == (["scalar"] if len(group) == 1
+                         else [("vector", len(group))])
+
+
 def test_multi_limb_stage_rejects_a_digit_one_too_low(monkeypatch):
     # halving the bias puts the float estimate one below the digit; the
     # remainder then reaches the shifted term, which the check catches
@@ -777,11 +819,10 @@ def test_leading_word_run_rejects_a_broken_batch(monkeypatch):
         return batch
 
     monkeypatch.setattr(algorithm, "_certified_batch", one_shift_more)
-    monkeypatch.setattr(algorithm, "_LIMB_ROWS", 1)
     # the message names the pair from its p and q columns
     with pytest.raises(ConsistencyError, match=re.escape(
-            f"leading-word batch broke the run of {(3 ** 100, 5 ** 70)}")):
-        _leading_word_run([2, 3 ** 100], [3, 5 ** 70])
+            f"leading-word batch broke the run of {(3 ** 400, 5 ** 275)}")):
+        _leading_word_run([2, 3 ** 400], [3, 5 ** 275])
 
 
 @pytest.mark.parametrize("row", [0, 1, 2, 3])
@@ -794,9 +835,8 @@ def test_leading_word_run_rejects_a_moved_matrix_entry(monkeypatch, row):
         return batch
 
     monkeypatch.setattr(algorithm, "_certified_batch", moved)
-    monkeypatch.setattr(algorithm, "_LIMB_ROWS", 1)
     with pytest.raises(ConsistencyError, match="leading-word"):
-        _leading_word_run([3 ** 100], [5 ** 70])
+        _leading_word_run([3 ** 400], [5 ** 275])
 
 
 def _matrix_with_det(rng, det, bound=(1 << 61) - 1):
