@@ -407,7 +407,7 @@ def _det_is_power_of_two(m: np.ndarray, s: np.ndarray) -> np.ndarray:
 # The multi-limb stage holds 2^62 <= w < 2^(62 _LIMB_ROWS) as int64 rows of
 # 62-bit limbs, least significant row first, one column per lane.  Eight
 # rows (496 bits) is where the stage stops beating the leading-word rounds:
-# per 2048-orbit group it was ahead by 10-12% at 400 and 448 bits and level
+# per 2048-orbit group it was ahead by 9-12% at 400 and 448 bits and level
 # with them from 640 to 1024 bits, and fell behind there at 11 rows or more.
 _LIMB_ROWS = 8
 _LIMB_SCALE = 2.0 ** (_WORD_BITS * np.arange(_LIMB_ROWS))
