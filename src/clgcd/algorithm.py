@@ -440,9 +440,10 @@ def _from_limbs(column: np.ndarray) -> int:
 
 
 def _limb_float(x: np.ndarray) -> np.ndarray:
-    """Every column of limbs as a float, within _LIMB_ROWS roundings of its
-    value: one per limb and one per sum of two of them, on nonnegative
-    terms, so a relative error below 2^-50."""
+    """Every column of limbs as a float, to a relative error below
+    _LIMB_ROWS 2^-53 <= 2^-50: the terms are nonnegative, so rounding
+    every limb costs at most 2^-53 of the sum, and each of the
+    _LIMB_ROWS - 1 additions at most 2^-53 more."""
     return _LIMB_SCALE[:len(x)] @ x.astype(np.float64)
 
 
@@ -488,9 +489,9 @@ def _limb_passes(index, u, w, p, q):
     more, and at the first strip where its w is below 2^62 or its low
     limbs are both 0, so up to _STRIP_EVERY - 1 passes after it got
     there; its exact (u, w) is returned: K, S, scale, u and w.  From the
-    second pass on,
-    0 < u < w is checked, by the float quotient where it is clear and on
-    the limbs where it is not; a wrong digit raises ConsistencyError.
+    second pass on, 0 < u < w is checked, by the float quotient where it
+    is clear and on the limbs where it is not; a wrong digit raises
+    ConsistencyError.
     """
     n = u.shape[1]
     k, s, scale = (np.zeros(n, np.int64) for _ in range(3))

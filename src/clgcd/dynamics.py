@@ -25,9 +25,10 @@ below 2^62.  Each Lehmer batch is checked (|det M| = 2^(shift sum),
 decided exactly in int64, and 0 < u' < w' on the big integers), and so is
 each multi-limb digit (0 < u < w on the limbs).  Every orbit's terminal
 must be a power of two, checked here on the whole terminal column as the
-ensemble's cost stage checks its own.  Chunks of orbits fix the seeds and the order of the sums;
-one ``map_chunks`` task, in this process or a forked worker, runs a fixed
-group of chunks through the kernel in one lockstep.  The pairs are drawn
+ensemble's cost stage checks its own.  Chunks of orbits fix the seeds and
+the order of the sums; one ``map_chunks`` task, in this process or a
+forked worker, runs a fixed group of chunks through the kernel in one
+lockstep.  The pairs are drawn
 by ``parallel.sample_pairs``, the ensembles' sampler, uniform on the
 coprime pairs 1 <= p < q with q in [2^(bits-1), 2^bits - 1]; each chunk's
 column sums run in orbit order, as a running sum would.
