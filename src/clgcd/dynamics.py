@@ -15,23 +15,15 @@ the spectral module.
 ``birkhoff_estimates`` measures the per-step growth rates along orbits of
 high random rationals: shift rate, entropy, dyadic growth of the continuant
 gcd, and the valuation rate of the running gcd from the trace table.  The
-orbits run through ``algorithm._orbit_runs``, which takes the p and q
-columns and gives K, S and the terminal modulus of ``_exponent_run`` bit
-for bit as arrays.  A group of fewer than ``algorithm._VECTOR_MIN``
-orbits runs pair by pair in ``_exponent_run``; a larger one runs in
-``_leading_word_run``, in three stages: leading-word rounds while
-w >= 2^496, the multi-limb int64 stage below that, and the int64 lockstep
-below 2^62.  Each Lehmer batch is checked (|det M| = 2^(shift sum),
-decided exactly in int64, and 0 < u' < w' on the big integers), and so is
-each multi-limb digit (0 < u < w on the limbs).  Every orbit's terminal
-must be a power of two, checked here on the whole terminal column as the
-ensemble's cost stage checks its own.  Chunks of orbits fix the seeds and
-the order of the sums; one ``map_chunks`` task, in this process or a
-forked worker, runs a fixed group of chunks through the kernel in one
-lockstep.  The pairs are drawn
-by ``parallel.sample_pairs``, the ensembles' sampler, uniform on the
-coprime pairs 1 <= p < q with q in [2^(bits-1), 2^bits - 1]; each chunk's
-column sums run in orbit order, as a running sum would.
+pairs are drawn by ``parallel.sample_pairs``, the ensembles' sampler,
+uniform on the coprime pairs 1 <= p < q with q in [2^(bits-1), 2^bits - 1].
+Chunks of 128 orbits fix the seeds and the order of the sums; each chunk's
+column sums run in orbit order, as a running sum would.  One ``map_chunks``
+task, in this process or a forked worker, runs a group of 16 chunks through
+``algorithm._orbit_runs`` at once; that function and the kernels it calls
+say how the orbits run and how each step is checked.  Every orbit's
+terminal must be a power of two, checked here on the whole terminal column
+as the ensemble's cost stage checks its own.
 """
 from __future__ import annotations
 
@@ -232,8 +224,7 @@ def birkhoff_estimates(bits: int, samples: int, seed: int,
     chunks fix the lockstep, one group per ``map_chunks`` task.  Each chunk
     draws its pairs with ``parallel.sample_pairs``, as an ensemble chunk
     does, and a group hands their p and q columns to
-    ``algorithm._orbit_runs``, whose batches and multi-limb digits are
-    checked exactly; every terminal must be a power of two.
+    ``algorithm._orbit_runs``; every terminal must be a power of two.
     """
     bits = require_int("bits", bits, 16)
     samples = require_int("samples", samples, 2)

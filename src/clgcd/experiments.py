@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -652,30 +652,24 @@ class ConjectureReport:
 
 def conjecture_check(bits: int = 256, trajectory_samples: int = 10_000,
                      N_max: int = 1_000_000, pair_samples: int = LADDER_PAIRS,
-                     seed: int = DEFAULT_SEED, threads: int = 1,
-                     birkhoff: Optional[BirkhoffReport] = None,
-                     slope: Optional[SlopeReport] = None) -> ConjectureReport:
+                     seed: int = DEFAULT_SEED,
+                     threads: int = 1) -> ConjectureReport:
     """Test D - B = log 2 through its consequence for B + D, the target
     ``B_conj + D`` of ``m_table()`` (its ``mean_costs["rho"]``).
 
     The two estimators share nothing: one averages dyadic valuations
     along long trajectories, the other differences ensemble means across
-    a factor-16 ladder.  A precomputed ``birkhoff`` or ``slope`` report
-    reuses an expensive run; its size arguments then go unused.
+    a factor-16 ladder.
     """
-    if slope is None:
-        # refused before the Birkhoff run, under the names given here
-        require_int("N_max", N_max, 1 << 16)
-        require_int("pair_samples", pair_samples, 2)
+    # refused before the Birkhoff run, under the names given here
+    require_int("N_max", N_max, 1 << 16)
+    require_int("pair_samples", pair_samples, 2)
     table = m_table()
     target = table.mean_costs["rho"]
-    if birkhoff is None:
-        birkhoff = birkhoff_estimates(bits, trajectory_samples,
-                                      derive_seed(seed, "conjecture", 0),
-                                      threads)
-    if slope is None:
-        slope = slope_estimate(N_max, pair_samples,
-                               derive_seed(seed, "conjecture", 1), threads)
+    birkhoff = birkhoff_estimates(bits, trajectory_samples,
+                                  derive_seed(seed, "conjecture", 0), threads)
+    slope = slope_estimate(N_max, pair_samples,
+                           derive_seed(seed, "conjecture", 1), threads)
     e2 = birkhoff.e2_estimate
     e2_se = birkhoff.std_errors["e2"]
     # asymptotic mean trajectory length for inputs of this size

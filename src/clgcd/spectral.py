@@ -282,8 +282,6 @@ def dominant_eigen(matrix: np.ndarray, grid: CollocationGrid) -> SpectralResult:
             f"power iteration did not converge in {EIGEN_MAX_ITER} iterations",
             result=(lam, vec),
         )
-    if vec.sum() < 0:
-        vec = -vec
     mass = grid.integrate(vec)
     phi = vec / mass
     residual = float(np.max(np.abs(apply(phi) - lam * phi)))

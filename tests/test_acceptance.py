@@ -6,7 +6,8 @@ counts (the measured values sit in comments next to each gate, all of them
 3x-50x inside the stated ceilings).  Every random quantity is seeded and
 thread-count independent, so a rerun reproduces the quoted numbers bit for
 bit.  The slope fixture draws two sampled ensembles of 10^6 pairs, about
-3 s single-threaded on a 2-core box; the c01 oracle (about 12 s) is the
+3 s single-threaded on a 2-core box, and c08 runs `clgcd conjecture` at its
+defaults on two threads, about 2 s; the c01 oracle (about 12 s) is the
 long pole.
 """
 import math
@@ -21,11 +22,10 @@ import pytest
 from clgcd.algorithm import cf_eval, cl_run, continuants, cost_vector
 from clgcd.constants import m_table
 from clgcd.dyadic import dyadic_valuation
-from clgcd.dynamics import birkhoff_estimates, psi, quad_gl, transfer_apply
+from clgcd.dynamics import psi, quad_gl, transfer_apply
 from clgcd.experiments import (DEFAULT_SEED, check_worstcase_bounds,
                                conjecture_check, dirichlet_check,
                                slope_estimate, worstcase_scan)
-from clgcd.parallel import derive_seed
 from clgcd.spectral import CollocationGrid, solve_operator, taylor_estimates
 
 TABLE = m_table()
@@ -41,9 +41,10 @@ def slope_run():
 
 
 @pytest.fixture(scope="module")
-def birkhoff_run():
-    return birkhoff_estimates(256, 10_000,
-                              seed=derive_seed(DEFAULT_SEED, "conjecture", 0))
+def conjecture_run():
+    # the run `clgcd conjecture` prints: its default sizes and seed, and
+    # the same report at any thread count
+    return conjecture_check(threads=2)
 
 
 def test_c01_correctness_oracle():
@@ -220,7 +221,7 @@ def test_c07_average_case_laws(slope_run):
           f"[raw mean(S)/mean(K) at N=10^6: {raw:.4f}]")
 
 
-def test_c08_conjecture_two_routes(slope_run, birkhoff_run):
+def test_c08_conjecture_two_routes(conjecture_run):
     """Trajectory and ensemble estimates of B + D agree.
 
     The trajectory route carries a finite-size systematic of about
@@ -228,11 +229,12 @@ def test_c08_conjecture_two_routes(slope_run, birkhoff_run):
     across 64..512-bit inputs); it enters the combined error, and the
     two routes must sit within 3 combined standard errors.
 
-    Calibrated at 256-bit x 10^4 orbits against the 10^6-pair ladder:
-    e2 -0.82% of target, rho ratio +0.21%, z = -1.33.
+    Calibrated on the run `clgcd conjecture` prints (seed 0x5EED,
+    256-bit x 10^4 orbits against its own 10^6-pair ladder to N = 10^6):
+    e2 1.250344 (-0.82% of target), rho ratio 1.260285 (-0.03%),
+    z = -1.01.
     """
-    slope_report, _ = slope_run
-    rep = conjecture_check(birkhoff=birkhoff_run, slope=slope_report)
+    rep = conjecture_run
 
     dev_e2 = rep.e2_estimate / rep.target - 1.0
     dev_ratio = rep.ratio_estimate / rep.target - 1.0

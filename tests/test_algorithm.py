@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from clgcd import algorithm
 from clgcd.dyadic import (
+    IntMatrix2,
     dyadic_norm,
     dyadic_valuation,
     g2,
@@ -433,6 +434,24 @@ def test_cost_vector_example():
     assert tuple(cost.as_dict()) == ("K", "S", "sigma", "q", "rho", "r", "q2")
 
 
+def test_cost_vector_rejects_a_broken_route(monkeypatch):
+    # the continuant route with a doubled matrix, |det| = 2^(S+2)
+    pair = continuants((1, 2))
+    m = pair.matrix
+    doubled = dataclasses.replace(pair, matrix=IntMatrix2(
+        2 * m.m00, 2 * m.m01, 2 * m.m10, 2 * m.m11))
+    with monkeypatch.context() as patch:
+        patch.setattr(algorithm, "continuants", lambda digits: doubled)
+        with pytest.raises(ConsistencyError,
+                           match=re.escape("|det| != 2^S for (1, 2)")):
+            cost_vector((1, 2))
+    # the transformation route with a doubled dyadic gcd weight
+    monkeypatch.setattr(algorithm, "g2", lambda x: 2 * g2(x))
+    with pytest.raises(ConsistencyError, match=re.escape(
+            "cost identity R^2 failed for (1, 2)")):
+        cost_vector((1, 2))
+
+
 @given(digit_strings)
 def test_cost_vector_agrees_with_continuants(digits):
     # cost_vector re-derives everything through the transformation
@@ -808,6 +827,35 @@ def test_multi_limb_stage_rejects_a_digit_one_too_low(monkeypatch):
     with pytest.raises(ConsistencyError, match=re.escape(
             f"multi-limb step broke the run of {pair}")):
         _leading_word_run([2, pair[0]], [3, pair[1]])
+
+
+def test_multi_limb_stage_rejects_a_digit_two_too_high(monkeypatch):
+    # a bias of 4 puts the float estimate two above the digit; the one
+    # fix-up takes it down by one only, and the second check refuses the
+    # step at once, before a later pass could see the broken remainder
+    limb_step, calls = algorithm._limb_step, []
+
+    def counted(u, w, a):
+        calls.append(a.tolist())
+        return limb_step(u, w, a)
+
+    monkeypatch.setattr(algorithm, "_DIGIT_BIAS", 4.0)
+    monkeypatch.setattr(algorithm, "_limb_step", counted)
+    pair = (3 ** 100, 5 ** 90)
+    with pytest.raises(ConsistencyError, match=re.escape(
+            f"multi-limb step broke the run of {pair}")):
+        _leading_word_run([2, pair[0]], [3, pair[1]])
+    digit = _exponent_run(*pair)[0][0]     # 50
+    assert calls == [[digit + 2], [digit + 1]]
+
+
+def test_multi_limb_stage_ends_every_lane_in_place():
+    # an odd common factor near 2^300 keeps w in the stage until each
+    # remainder vanishes, so every lane ends there and the stage exits
+    # with no lane left for the int64 lockstep
+    g = (1 << 300) + 12345
+    pairs = [(3 * g, 5 * g), (7 * g, 11 * g)]
+    assert _leading_word_lists(pairs) == _scalar_runs(pairs)
 
 
 def test_leading_word_run_rejects_a_broken_batch(monkeypatch):

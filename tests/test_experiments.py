@@ -685,13 +685,13 @@ def test_reports_store_the_checked_int():
     assert type(spec.seed) is int and spec.seed == 1
 
 
-def test_conjecture_report_wiring(small_slope):
+def test_conjecture_report_wiring():
     table = m_table()
-    birkhoff = birkhoff_estimates(bits=32, samples=256, seed=1)
-    rep = conjecture_check(birkhoff=birkhoff, slope=small_slope)
+    rep = conjecture_check(bits=32, trajectory_samples=256, N_max=1 << 16,
+                           pair_samples=4000, seed=1)
     assert rep.target == pytest.approx(2 * table.D - LN2, abs=1e-15)
-    assert rep.e2_estimate == birkhoff.e2_estimate
-    assert rep.ratio_estimate == small_slope.ratios["rho"]
+    assert rep.e2_estimate == rep.birkhoff.e2_estimate
+    assert rep.ratio_estimate == rep.slope.ratios["rho"]
     assert rep.difference == rep.e2_estimate - rep.ratio_estimate
     assert rep.e2_systematic == pytest.approx(
         EDGE_COEFF / (table.two_over_H * 32 * LN2), rel=1e-15)

@@ -259,6 +259,22 @@ def test_power_iteration_failure_modes():
     assert exc_info.value.result[0] == pytest.approx(0.2)
 
 
+def test_power_iteration_with_a_negative_dominant_eigenvalue():
+    # the iterate of -M, M > 0, changes sign at every step and ends with a
+    # negative sum after an odd count; the unit integral fixes the sign
+    grid = CollocationGrid(16)
+    matrix = -np.random.default_rng(1).random((16, 16))
+    res = dominant_eigen(matrix, grid)
+    assert res.iterations % 2 == 1
+    assert res.eigenvalue == pytest.approx(
+        -max(abs(np.linalg.eigvals(matrix))), rel=1e-12)
+    phi = res.eigenfunction
+    assert grid.integrate(phi) == pytest.approx(1.0, abs=1e-14)
+    assert phi.min() > 0
+    assert res.residual == np.max(np.abs(matrix @ phi - res.eigenvalue * phi))
+    assert res.residual < 1e-10
+
+
 def _fresh_grid(n):
     """A grid outside the cache, its cardinal matrices built here."""
     grid = CollocationGrid(n)
