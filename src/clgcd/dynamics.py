@@ -47,6 +47,9 @@ from .spectral import (CollocationGrid, _branch_matrix, _shared_grid,
 _BIRKHOFF_CHUNK = 128
 _BIRKHOFF_GROUP = 16
 
+# the rates of a report, in the order of a chunk part's rows
+_RATES = ("shift_rate", "entropy", "e2", "valuation_rate")
+
 
 def psi(x):
     """Invariant density 1/(log(4/3) (x+1)(x+2)); accepts floats or arrays."""
@@ -155,33 +158,26 @@ def quad_gl(f, a: float, b: float) -> float:
 class BirkhoffReport:
     """Per-step growth rates averaged over random high orbits.
 
+    ``rates`` and ``std_errors`` hold these, keyed in ``_RATES`` order.
     The theory values of the last three are conjectured; ``m_table()``
     holds them:
 
-    mean_shift_per_step    S/K, theory log(3/2)/log(4/3) = 1.40942
-    entropy_estimate       2 log q / K, theory the entropy constant H_conj
-    e2_estimate            2 log gcd(P,Q) / K, theory B_conj + D
-    valuation_rate         val_2(terminal) / K, the running-gcd probe; equals
-                           (S - val_2 gcd(P,Q))/K per trajectory, so its
-                           theory is (D - B_conj) / (2 ln 2)
+    shift_rate      S/K, theory log(3/2)/log(4/3) = 1.40942
+    entropy         2 log q / K, theory the entropy constant H_conj
+    e2              2 log gcd(P,Q) / K, theory B_conj + D
+    valuation_rate  val_2(terminal) / K, the running-gcd probe; equals
+                    (S - val_2 gcd(P,Q))/K per trajectory, so its theory
+                    is (D - B_conj) / (2 ln 2)
     """
 
     samples: int
     bits: int
     seed: int
-    mean_shift_per_step: float
-    entropy_estimate: float
-    e2_estimate: float
-    valuation_rate: float
+    rates: dict[str, float]
     std_errors: dict[str, float]
 
     def estimates(self) -> dict[str, float]:
-        return {
-            "shift_rate": self.mean_shift_per_step,
-            "entropy": self.entropy_estimate,
-            "e2": self.e2_estimate,
-            "valuation_rate": self.valuation_rate,
-        }
+        return dict(self.rates)
 
     def to_json_dict(self) -> dict:
         return {
@@ -200,16 +196,21 @@ def _birkhoff_group(args):
                      (1 << bits) - 1, True) for index, count in chunks)))
     k, s, terminal = _orbit_runs(p, q)
     vt = _v2(terminal)
-    if (terminal >> vt != 1).any():
-        raise ConsistencyError("coprime input left an odd factor")
+    bad = terminal >> vt != 1
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ConsistencyError(
+            f"coprime input {(int(p[i]), int(q[i]))} left an odd factor "
+            f"in its terminal {terminal[i]}")
     k, s, vt = (x.astype(float) for x in (k, s, vt))
     # terminal modulus times continuant gcd is 2^S, so val(g) = S - vt
-    rows = np.array([
-        s / k,
-        2.0 * np.array([math.log(x) for x in q.tolist()]) / k,
-        2.0 * (s - vt) * LN2 / k,
-        vt / k,
-    ])
+    rates = {
+        "shift_rate": s / k,
+        "entropy": 2.0 * np.array([math.log(x) for x in q.tolist()]) / k,
+        "e2": 2.0 * (s - vt) * LN2 / k,
+        "valuation_rate": vt / k,
+    }
+    rows = np.array([rates[name] for name in _RATES])
     ends = np.cumsum([count for _, count in chunks])
     return [part(count, (), rows[:, end - count:end])
             for (_, count), end in zip(chunks, ends)]
@@ -237,14 +238,10 @@ def birkhoff_estimates(bits: int, samples: int, seed: int,
         for part in group)
     means, ses = zip(*(moments(n, total, total_sq, 1.0)
                        for total, total_sq in zip(sums, squares)))
-    keys = ("shift_rate", "entropy", "e2", "valuation_rate")
     return BirkhoffReport(
         samples=n,
         bits=bits,
         seed=seed,
-        mean_shift_per_step=means[0],
-        entropy_estimate=means[1],
-        e2_estimate=means[2],
-        valuation_rate=means[3],
-        std_errors=dict(zip(keys, ses)),
+        rates=dict(zip(_RATES, means)),
+        std_errors=dict(zip(_RATES, ses)),
     )

@@ -23,23 +23,13 @@ S <= (2 lg q + 2) lg q, the terminal's odd part against the odd gcd, and
 the costs read off the run (shift count, terminal modulus, gcd) checked
 exactly against the continuant pair of the digits.
 
-Each chunk runs in two stages.  The sampler or the exhaustive enumerator
-hands the chunk's p and q columns (``_chunk_columns``) straight to a
-kernel stage, which returns K, S, the terminal modulus and the continuant
-pair of the digits in reduced form, (X, Y) with content exponent E: in
-int64 lockstep (``_lockstep_costs``) on int64 columns, which the sampler
-and the enumerator give for every q below 2^62, else pair by pair through
-``_exponent_run`` (``_scalar_costs``) on object columns.
-The int64 stage runs its forward passes in pair order and reads the
-continuant pair back with the pairs sorted by K, so the pairs a pass
-touches are a prefix (``_lockstep_continuants``).  One cost stage
-(``_chunk_part``) derives every cost from K, S and the terminal, checks
-it exactly against (X, Y, E) and sums; both kernel stages give the same
-sums bit for bit.  A coprime chunk checks the terminal against d = 1,
-which its own gcd established when it accepted each pair; a chunk open
-to all pairs computes d = gcd(p, q).  The logs are ``math.log`` of the
-exact Q and R, taken on floats that round them exactly as ``math.log``
-does, and added one by one in pair order.
+Each chunk runs in two stages on its p and q columns
+(``_chunk_columns``): a kernel stage, ``_lockstep_costs`` on int64
+columns (every q below 2^62) or ``_scalar_costs`` on object columns,
+then the one cost stage, ``_chunk_part``, which derives and checks every
+cost.  ``_stats_chunk`` picks the kernel stage; those functions and
+``_lockstep_continuants`` say how each stage runs and what it checks.
+Both kernel stages give the same sums bit for bit.
 """
 from __future__ import annotations
 
@@ -342,31 +332,38 @@ class ExperimentReport:
     """Mean costs over one ensemble, with leading-order reference values."""
 
     spec: OmegaSpec
-    convention: str
     samples: int
     means: dict
     stderrs: dict
-    ratios_to_k: dict
-    theory: dict
+    # every ensemble runs under the one convention
+    convention = "canonical"
 
     @property
     def seed(self) -> int | None:
         """The seed the pairs were drawn with; None for an exhaustive run."""
         return None if self.spec.mode == "exhaustive" else self.spec.seed
 
+    @property
+    def ratios_to_k(self) -> dict:
+        return {key: self.means[key] / self.means["K"] for key in COST_KEYS}
+
+    @property
+    def theory(self) -> dict:
+        return theory_means(self.spec.N)
+
     def deviations(self) -> dict:
-        return {key: self.means[key] - self.theory[key] for key in COST_KEYS}
+        theory = self.theory
+        return {key: self.means[key] - theory[key] for key in COST_KEYS}
 
     def to_csv_rows(self) -> list:
         rows = [["N", "mode", "samples", "cost", "mean", "stderr",
                  "ratio_to_K", "theory", "deviation"]]
-        dev = self.deviations()
+        ratios, theory, dev = self.ratios_to_k, self.theory, self.deviations()
         for key in COST_KEYS:
             rows.append([
                 self.spec.N, self.spec.mode, self.samples, key,
                 repr(self.means[key]), repr(self.stderrs[key]),
-                repr(self.ratios_to_k[key]), repr(self.theory[key]),
-                repr(dev[key]),
+                repr(ratios[key]), repr(theory[key]), repr(dev[key]),
             ])
         return rows
 
@@ -380,8 +377,8 @@ class ExperimentReport:
             "samples": self.samples,
             "means": dict(self.means),
             "stderrs": dict(self.stderrs),
-            "ratios_to_K": dict(self.ratios_to_k),
-            "theory": dict(self.theory),
+            "ratios_to_K": self.ratios_to_k,
+            "theory": self.theory,
             "deviations": self.deviations(),
         }
 
@@ -408,16 +405,7 @@ def mean_costs(spec: OmegaSpec, threads: int = 1) -> ExperimentReport:
     stderrs = {}
     for key, (col, scale) in _COST_COLUMNS.items():
         means[key], stderrs[key] = moments(n, sums[col], squares[col], scale)
-    ratios = {key: means[key] / means["K"] for key in COST_KEYS}
-    return ExperimentReport(
-        spec=spec,
-        convention="canonical",
-        samples=n,
-        means=means,
-        stderrs=stderrs,
-        ratios_to_k=ratios,
-        theory=theory_means(spec.N),
-    )
+    return ExperimentReport(spec=spec, samples=n, means=means, stderrs=stderrs)
 
 
 @dataclass(frozen=True)
@@ -670,7 +658,7 @@ def conjecture_check(bits: int = 256, trajectory_samples: int = 10_000,
                                   derive_seed(seed, "conjecture", 0), threads)
     slope = slope_estimate(N_max, pair_samples,
                            derive_seed(seed, "conjecture", 1), threads)
-    e2 = birkhoff.e2_estimate
+    e2 = birkhoff.rates["e2"]
     e2_se = birkhoff.std_errors["e2"]
     # asymptotic mean trajectory length for inputs of this size
     mean_steps = table.two_over_H * birkhoff.bits * LN2

@@ -237,7 +237,8 @@ class SpectralResult:
     t: float = math.nan
     v: float = math.nan
     a_max: int = -1
-    tail_tol: float = TAIL_TOL      # fixed: the bound of every branch sum
+    # every branch sum truncates at this one bound
+    tail_tol = TAIL_TOL
 
     def to_json_dict(self, include_eigenfunction: bool = False) -> dict:
         d = {

@@ -1,9 +1,11 @@
+import csv
 import inspect
 import json
 import os
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -12,7 +14,7 @@ from clgcd import cli
 from clgcd.cli import run
 from clgcd.constants import m_table
 from clgcd.errors import ConsistencyError, DomainError
-from clgcd.experiments import (LADDER_PAIRS, conjecture_check,
+from clgcd.experiments import (COST_KEYS, LADDER_PAIRS, conjecture_check,
                                dirichlet_check, slope_estimate,
                                worstcase_scan)
 from clgcd.spectral import solve_operator
@@ -92,6 +94,21 @@ def test_expand(capsys):
     assert out == "1,2,2,1,0,1\nK = 6, S = 7\n"
     _, out, _ = invoke(capsys, "expand", "--rational", "31/75", "--depth", "3")
     assert out.splitlines()[0] == "1,2,2"
+
+
+def test_expand_json(capsys):
+    # --depth cuts the digits printed, not the run: K and S stay the
+    # whole run's
+    code, out, _ = invoke(capsys, "expand", "--rational", "31/75", "--json")
+    assert code == 0
+    assert json.loads(out) == {"p": 31, "q": 75, "convention": "canonical",
+                               "digits": [1, 2, 2, 1, 0, 0, 0],
+                               "K": 7, "S": 6}
+    code, out, _ = invoke(capsys, "expand", "--rational", "31/75",
+                          "--depth", "3", "--json")
+    assert code == 0
+    d = json.loads(out)
+    assert (d["digits"], d["K"], d["S"]) == ([1, 2, 2], 7, 6)
 
 
 def test_expand_bad_rational(capsys):
@@ -227,6 +244,41 @@ def test_experiment_byte_identical(capsys):
     _, first, _ = invoke(capsys, *args)
     _, second, _ = invoke(capsys, *args)
     assert first == second
+
+
+_SLOPE_ARGV = ("experiment", "--slope", "--nmax", "65536", "--samples",
+               "500", "--seed", "3")
+
+
+def test_experiment_slope_text(capsys):
+    code, out, _ = invoke(capsys, *_SLOPE_ARGV)
+    assert code == 0
+    rep = slope_estimate(65536, 500, seed=3)
+    lines = out.splitlines()
+    assert lines[0] == ("slope ladder N = 4096 -> 65536, "
+                        "500 pairs per rung, seed = 3")
+    assert lines[1].split() == ["cost", "slope", "stderr", "ratio",
+                                "ratio_se", "target"]
+    assert [line.split() for line in lines[2:-1]] == [
+        [key] + [f"{table[key]:.6f}" for table in (
+            rep.slopes, rep.slope_stderrs, rep.ratios, rep.ratio_stderrs,
+            rep.targets)]
+        for key in COST_KEYS]
+    assert lines[-1] == ("targets: limit slope for K, "
+                         "limit slope ratios otherwise")
+
+
+def test_experiment_slope_csv_holds_both_rungs(capsys, tmp_path):
+    # one header, then the 7 cost rows of the lower rung and of the upper
+    out_file = tmp_path / "ladder.csv"
+    code, _, _ = invoke(capsys, *_SLOPE_ARGV, "--out", str(out_file))
+    assert code == 0
+    lo, hi = slope_estimate(65536, 500, seed=3).rungs
+    with open(out_file, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert len(rows) == 15
+    assert rows == [[str(cell) for cell in row]
+                    for row in lo.to_csv_rows() + hi.to_csv_rows()[1:]]
 
 
 def test_experiment_slope_rejects_exhaustive(capsys):
@@ -570,6 +622,7 @@ def test_domain_error_exits_1(capsys):
 @pytest.mark.parametrize("argv", [
     ("dirichlet", "--s", "nan"),
     ("dirichlet", "--s", "inf"),
+    ("eval", "--exponents", "1,x"),
     ("expand", "--rational", "31/75", "--depth", "0"),
     ("eigen", "--t", "1", "--v", "0", "--grid", "1"),
     ("taylor", "--grid", "1"),
@@ -644,6 +697,13 @@ def test_assertion_failure_exits_3(capsys, monkeypatch):
     code, _, err = invoke(capsys, "trace", "31", "75")
     assert code == 3
     assert err.startswith("assertion failed:")
+    # eval checks its continuant pair against the direct evaluation
+    real = cli.continuants
+    monkeypatch.setattr(cli, "continuants", lambda exponents: real((2,)))
+    code, out, err = invoke(capsys, "eval", "--exponents", "1,2")
+    assert (code, out) == (3, "")
+    assert err == ("assertion failed: continuants disagree with direct "
+                   "evaluation\n")
 
 
 def test_closed_stdout_exits_141_quietly():
@@ -679,6 +739,23 @@ DEMOS = {
                               "log N = 7.601",),
     "trace_walkthrough": ("K = 7, S = 6, terminal = (0, 8), odd gcd = 1",),
 }
+
+
+def test_readme_quickstart():
+    # the README's Python block runs as printed and gives every value its
+    # comments state
+    text = (ROOT / "README.md").read_text()
+    ns = {}
+    exec(text.split("```python\n", 1)[1].split("```", 1)[0], ns)
+    run = ns["run"]
+    assert run.exponents == (1, 2, 2, 1, 0, 0, 0)
+    assert (run.steps, run.shifts, run.odd_gcd) == (7, 6, 1)
+    assert ns["cf_eval"](run.exponents) == Fraction(31, 75)
+    cp = ns["cp"]
+    assert (cp.P, cp.Q, cp.g, cp.R) == (248, 600, 8, 75)
+    assert ns["orbit"](Fraction(31, 75)).branches() == (1, 2, 2, 1, 0, 1)
+    assert str(ns["table"].D).startswith("0.97693608")
+    assert abs(ns["pair"].eigenvalue - 1.0) <= 1e-12
 
 
 @pytest.mark.parametrize("name", sorted(

@@ -306,16 +306,26 @@ def test_birkhoff_matches_scalar_reference(bits, samples):
 
 
 def test_birkhoff_rejects_a_terminal_with_an_odd_factor(monkeypatch):
-    # one pair of the group shares the factor 3, so its terminal is
-    # 3 * 2^v; the check on the whole terminal column must catch it
+    # the last pair of each chunk shares the factor 3, so its terminal is
+    # 3 * 2^v; the check on the whole terminal column must catch it and
+    # name the first such pair in orbit order, that of chunk 0
+    corrupted = []
+
     def one_shared_factor(*args):
         p, q = sample_pairs(*args)
         p[-1], q[-1] = 3 * p[-1], 3 * q[-1]
+        corrupted.append((int(p[-1]), int(q[-1])))
         return p, q
 
     monkeypatch.setattr(dynamics, "sample_pairs", one_shared_factor)
-    with pytest.raises(ConsistencyError, match="odd factor"):
+    with pytest.raises(ConsistencyError, match="odd factor") as info:
         birkhoff_estimates(bits=16, samples=300, seed=1)
+    assert len(corrupted) == 3
+    pair = corrupted[0]
+    terminal = _exponent_run(*pair)[1]
+    assert terminal >> dyadic_valuation(terminal) == 3
+    assert str(info.value) == (f"coprime input {pair} left an odd factor "
+                               f"in its terminal {terminal}")
 
 
 def test_birkhoff_sanity():

@@ -485,6 +485,7 @@ def test_theory_column():
     assert th["S"] == pytest.approx(th["K"] * table.D / LN2, rel=1e-15)
     for key, growth in table.mean_costs.items():
         assert th[key] == pytest.approx(th["K"] * growth, rel=1e-15)
+    assert mean_costs(OmegaSpec(N=100, mode="exhaustive")).theory == th
 
 
 def test_report_csv_shape():
@@ -690,7 +691,8 @@ def test_conjecture_report_wiring():
     rep = conjecture_check(bits=32, trajectory_samples=256, N_max=1 << 16,
                            pair_samples=4000, seed=1)
     assert rep.target == pytest.approx(2 * table.D - LN2, abs=1e-15)
-    assert rep.e2_estimate == rep.birkhoff.e2_estimate
+    assert rep.e2_estimate == rep.birkhoff.rates["e2"]
+    assert rep.e2_stderr == rep.birkhoff.std_errors["e2"]
     assert rep.ratio_estimate == rep.slope.ratios["rho"]
     assert rep.difference == rep.e2_estimate - rep.ratio_estimate
     assert rep.e2_systematic == pytest.approx(

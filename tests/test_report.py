@@ -5,10 +5,11 @@ import pytest
 
 from clgcd.algorithm import cl_run
 from clgcd.constants import ConstantsTable, m_table
-from clgcd.dynamics import birkhoff_estimates
+from clgcd.dynamics import BirkhoffReport, birkhoff_estimates
 from clgcd.experiments import (
     ConjectureReport,
     DirichletReport,
+    ExperimentReport,
     OmegaSpec,
     SlopeReport,
     WorstCaseReport,
@@ -19,7 +20,7 @@ from clgcd.experiments import (
     worstcase_scan,
 )
 from clgcd.report import fields_json
-from clgcd.spectral import solve_operator, taylor_estimates
+from clgcd.spectral import SpectralResult, solve_operator, taylor_estimates
 
 # the reports whose JSON is their fields, through the one rule
 RULE_BUILT = (ConstantsTable, DirichletReport, WorstCaseReport, SlopeReport,
@@ -66,6 +67,16 @@ def test_nested_reports_keep_their_own_json():
     d = rep.to_json_dict()
     assert d["rungs"] == [r.to_json_dict() for r in rep.rungs]
     assert "deviations" in d["rungs"][0] and "spec" not in d["rungs"][0]
+
+
+def test_reports_whose_json_is_not_their_fields_store_only_measurements():
+    # a constant or a value read off other fields is no field: the
+    # convention, the ratios to K, the theory column and the tail bound
+    assert [f.name for f in fields(BirkhoffReport)] == [
+        "samples", "bits", "seed", "rates", "std_errors"]
+    assert [f.name for f in fields(ExperimentReport)] == [
+        "spec", "samples", "means", "stderrs"]
+    assert "tail_tol" not in [f.name for f in fields(SpectralResult)]
 
 
 def _reports(threads):
